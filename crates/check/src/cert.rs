@@ -649,5 +649,41 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("no lp or analysis"), "{err}");
+        // A "uap-merge" certificate (the merged proof of the removed
+        // input-split dispatch) must be refused as malformed, never
+        // accepted on the strength of its embedded sub-box proofs.
+        let part = Certificate {
+            kind: "uap".to_string(),
+            tier: "lp".to_string(),
+            degraded: false,
+            lp: Some(sample_lp()),
+            analysis: None,
+        };
+        let merged = Json::obj([
+            ("version", Json::from(1.0)),
+            ("kind", Json::from("uap-merge")),
+            ("k", Json::from(2usize)),
+            ("eps", Json::from(0.02)),
+            (
+                "claims",
+                Json::Arr(vec![Json::obj([
+                    ("worst_case_hamming", Json::from(0.0)),
+                    ("individually_verified", Json::from(2usize)),
+                    ("tier", Json::from("lp")),
+                    ("degraded", Json::from(false)),
+                ])]),
+            ),
+            (
+                "merged",
+                Json::obj([
+                    ("worst_case_hamming", Json::from(0.0)),
+                    ("individually_verified", Json::from(2usize)),
+                    ("worst_case_accuracy", Json::from(1.0)),
+                ]),
+            ),
+            ("shards", Json::Arr(vec![part.to_json()])),
+        ]);
+        let err = crate::check_certificate_json(&merged).unwrap_err();
+        assert!(matches!(err, crate::CheckError::Malformed(_)), "{err}");
     }
 }

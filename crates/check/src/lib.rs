@@ -22,7 +22,6 @@
 
 pub mod cert;
 pub mod dyadic;
-pub mod merge;
 pub mod replay;
 
 pub use cert::{
@@ -30,26 +29,19 @@ pub use cert::{
     CertSense, Certificate, LeafProof, LpCertificate, LpProof,
 };
 pub use dyadic::Dyadic;
-pub use merge::{check_merged_certificate, MergedCertificate, ShardClaim, MERGE_KIND};
 pub use replay::{check_certificate, CheckError, CheckReport};
 
 /// Parses and replays a certificate straight from its JSON form — the
 /// one-call gate used by services that receive certificates over the wire
-/// (e.g. `raven-serve`'s fleet dispatch and spot checks). Both ordinary
-/// certificates and the merged certificates of sharded runs (kind
-/// `"uap-merge"`) are accepted; merged ones replay every shard proof *and*
-/// the merge step. Parse failures surface as [`CheckError::Malformed`],
-/// replay failures as their own [`CheckError`] variants.
+/// (e.g. `raven-serve`'s fleet dispatch and spot checks). Parse failures
+/// surface as [`CheckError::Malformed`], replay failures as their own
+/// [`CheckError`] variants.
 ///
 /// # Errors
 ///
 /// Returns [`CheckError`] when the JSON does not decode as a certificate
 /// or the exact replay rejects it.
 pub fn check_certificate_json(json: &raven_json::Json) -> Result<CheckReport, CheckError> {
-    if MergedCertificate::is_merged(json) {
-        let merged = MergedCertificate::from_json(json).map_err(CheckError::Malformed)?;
-        return check_merged_certificate(&merged);
-    }
     let cert = Certificate::from_json(json).map_err(CheckError::Malformed)?;
     check_certificate(&cert)
 }

@@ -52,14 +52,6 @@ options:
                               in-process (default: no fleet)
   --fleet-timeout-ms N        socket-level patience per fleet dispatch, on
                               top of the job's solve deadline (default 10000)
-  --fleet-shards N            split a fleet-eligible UAP job's input region
-                              into N sub-boxes dispatched to distinct
-                              workers; per-shard certificates replay before
-                              the sound merge (default 1 = whole-job
-                              dispatch)
-  --shard-retries N           re-dispatch a failed shard up to N times with
-                              exponential backoff before solving it locally
-                              (default 2)
   --fleet-when-saturated B    1 = only dispatch remotely when the local
                               worker pool is saturated, 0 = always prefer
                               remote (default 1)
@@ -193,17 +185,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     &value("--worker-reject-strikes")?,
                     "--worker-reject-strikes",
                 )? as u32;
-            }
-            "--fleet-shards" => {
-                let n: usize = parse_num(&value("--fleet-shards")?, "--fleet-shards")?;
-                if n == 0 {
-                    return Err("--fleet-shards must be at least 1".to_string());
-                }
-                config.fleet.shards = n as u32;
-            }
-            "--shard-retries" => {
-                config.fleet.shard_retries =
-                    parse_num(&value("--shard-retries")?, "--shard-retries")? as u32;
             }
             "--fleet-when-saturated" => {
                 config.fleet.when_saturated = match value("--fleet-when-saturated")?.as_str() {
@@ -361,10 +342,6 @@ mod tests {
             "1234",
             "--worker-reject-strikes",
             "5",
-            "--fleet-shards",
-            "4",
-            "--shard-retries",
-            "3",
             "--fleet-when-saturated",
             "0",
             "--strict-certificates",
@@ -401,8 +378,6 @@ mod tests {
         assert_eq!(parsed.config.fleet.io_timeout, Duration::from_millis(3000));
         assert_eq!(parsed.config.fleet.probation, Duration::from_millis(1234));
         assert_eq!(parsed.config.fleet.reject_strikes, 5);
-        assert_eq!(parsed.config.fleet.shards, 4);
-        assert_eq!(parsed.config.fleet.shard_retries, 3);
         assert!(!parsed.config.fleet.when_saturated);
         assert!(parsed.config.strict_certificates);
         assert_eq!(parsed.config.trace_slow_ms, 250);
@@ -426,14 +401,7 @@ mod tests {
         assert!(parsed.config.fleet_addr.is_none());
         assert!(!parsed.config.strict_certificates);
         assert_eq!(parsed.config.client_timeout, Duration::from_secs(10));
-        assert_eq!(parsed.config.fleet.shards, 1);
-        assert_eq!(parsed.config.fleet.shard_retries, 2);
         assert!(parsed.config.fleet.when_saturated);
-        assert!(
-            parse_args(&args(&["--models-dir", "m", "--fleet-shards", "0"]))
-                .unwrap_err()
-                .contains("--fleet-shards")
-        );
         assert!(
             parse_args(&args(&["--models-dir", "m", "--fleet-when-saturated", "2"]))
                 .unwrap_err()

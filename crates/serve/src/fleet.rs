@@ -24,11 +24,8 @@
 //!
 //! ## Wire format
 //!
-//! Frames reuse the journal's framing over a plain `std::net` TCP stream:
-//!
-//! ```text
-//! [u32 LE payload length][u64 LE FNV-1a of payload][JSON payload]
-//! ```
+//! Frames use the journal's codec ([`crate::frame`]: length, FNV-1a
+//! checksum, JSON payload) over a plain `std::net` TCP stream.
 //!
 //! The conversation is strictly request/response after a one-frame
 //! handshake:
@@ -67,22 +64,17 @@
 //! express, which defeats tampered duals, flipped verdicts, and any
 //! claimed bound tighter than the evidence.
 
+use crate::frame;
 use crate::journal::{Journal, Record};
 use crate::metrics;
 use crate::registry::ModelRegistry;
 use raven_json::Json;
-use raven_nn::fnv1a64;
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Hard cap on one frame's payload: a certificate for a large MILP run is
-/// hundreds of KB; 256 MiB leaves three orders of magnitude of headroom
-/// while still bounding a hostile length header.
-pub const MAX_FRAME_BYTES: usize = 256 * 1024 * 1024;
 
 /// Cap on trace records a worker ships home per job: observability must
 /// not balloon result frames (records past the cap are simply dropped —
@@ -104,13 +96,6 @@ pub struct FleetConfig {
     pub dispatch_attempts: u32,
     /// First retry backoff; doubles per attempt.
     pub backoff_base: Duration,
-    /// Input-region sub-boxes per fleet-eligible UAP job
-    /// (`--fleet-shards`). 1 dispatches whole jobs exactly as before.
-    pub shards: u32,
-    /// Remote retries per shard (on top of the first attempt) before that
-    /// shard is solved locally (`--shard-retries`). Other shards' accepted
-    /// results are kept.
-    pub shard_retries: u32,
     /// Saturation-aware admission (`--fleet-when-saturated`): dispatch
     /// remotely only when the local pool is saturated (all workers busy or
     /// jobs queued). Off means always prefer remote, as before.
@@ -125,8 +110,6 @@ impl Default for FleetConfig {
             reject_strikes: 2,
             dispatch_attempts: 3,
             backoff_base: Duration::from_millis(100),
-            shards: 1,
-            shard_retries: 2,
             when_saturated: true,
         }
     }
@@ -178,12 +161,7 @@ impl FrameConn {
     ///
     /// Propagates socket write errors.
     pub fn write_frame(&mut self, payload: &Json) -> std::io::Result<()> {
-        let bytes = payload.to_string().into_bytes();
-        let mut out = Vec::with_capacity(12 + bytes.len());
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&bytes).to_le_bytes());
-        out.extend_from_slice(&bytes);
-        self.stream.write_all(&out)?;
+        self.stream.write_all(&frame::encode(payload))?;
         self.stream.flush()
     }
 
@@ -226,26 +204,10 @@ impl FrameConn {
 
     /// Decodes one frame from the buffer when a whole one has arrived.
     fn try_decode(&mut self) -> Result<Option<Json>, FrameError> {
-        if self.buf.len() < 12 {
+        let Some((json, used)) = frame::decode(&self.buf).map_err(FrameError::Corrupt)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Err(FrameError::Corrupt(format!("frame length {len} over cap")));
-        }
-        if self.buf.len() < 12 + len {
-            return Ok(None);
-        }
-        let crc = u64::from_le_bytes(self.buf[4..12].try_into().unwrap());
-        let payload = &self.buf[12..12 + len];
-        if fnv1a64(payload) != crc {
-            return Err(FrameError::Corrupt("checksum mismatch".to_string()));
-        }
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| FrameError::Corrupt("payload not utf-8".to_string()))?;
-        let json =
-            Json::parse(text).map_err(|e| FrameError::Corrupt(format!("invalid json: {e}")))?;
-        self.buf.drain(..12 + len);
+        };
+        self.buf.drain(..used);
         Ok(Some(json))
     }
 }
@@ -536,8 +498,8 @@ impl Fleet {
         }
     }
 
-    /// The attached [`FleetConfig`] (the api layer reads the shard count
-    /// and the saturation-aware admission gate from here).
+    /// The attached [`FleetConfig`] (the api layer reads the
+    /// saturation-aware admission gate from here).
     pub(crate) fn config(&self) -> &FleetConfig {
         &self.config
     }
@@ -551,8 +513,9 @@ impl Fleet {
     }
 
     /// Ships the job to fleet workers until one answer survives the
-    /// certificate gate. Returns the accepted envelope, or `None` when
-    /// every attempt failed (the caller computes locally). Journals one
+    /// certificate gate, retrying with exponential backoff on distinct
+    /// workers. Returns the accepted envelope, or `None` when every
+    /// attempt failed (the caller computes locally). Journals one
     /// `RemoteAttempt` per attempt and a `LocalFallback` when attempts
     /// were made but none succeeded.
     pub(crate) fn dispatch(
@@ -561,68 +524,6 @@ impl Fleet {
         expected: &Expected,
         cancel: &AtomicBool,
     ) -> Option<Json> {
-        let (outcome, attempts) =
-            self.dispatch_inner(ctx, expected, cancel, None, self.config.dispatch_attempts);
-        if outcome.is_none() && attempts > 0 {
-            metrics::FLEET_LOCAL_FALLBACKS.inc();
-            if let Some(journal) = ctx.journal {
-                let _ = journal.append(&Record::LocalFallback { id: ctx.job_id }, false);
-            }
-        } else if outcome.is_some() {
-            metrics::FLEET_REMOTE_SOLVES.inc();
-        }
-        outcome.map(|(envelope, _certificate)| envelope)
-    }
-
-    /// Ships one input-region shard of a UAP job to fleet workers.
-    /// Returns the accepted `(envelope, certificate)` pair — the
-    /// certificate feeds the merged proof — or `None` when every remote
-    /// attempt failed, in which case the caller solves this shard locally
-    /// and other shards' accepted results are kept (fault containment is
-    /// per shard, never per job). Journals a `ShardAttempt` per attempt
-    /// and a `ShardFallback` when attempts were made but none survived.
-    pub(crate) fn dispatch_shard(
-        &self,
-        ctx: &DispatchCtx<'_>,
-        expected: &Expected,
-        cancel: &AtomicBool,
-        shard: u32,
-        shards: u32,
-    ) -> Option<(Json, Json)> {
-        let attempts_cap = self.config.shard_retries.saturating_add(1);
-        let (outcome, attempts) =
-            self.dispatch_inner(ctx, expected, cancel, Some((shard, shards)), attempts_cap);
-        if outcome.is_none() && attempts > 0 {
-            metrics::FLEET_SHARD_FALLBACKS.inc();
-            if let Some(journal) = ctx.journal {
-                let _ = journal.append(
-                    &Record::ShardFallback {
-                        id: ctx.job_id,
-                        shard,
-                    },
-                    false,
-                );
-            }
-        } else if outcome.is_some() {
-            metrics::FLEET_SHARD_REMOTE.inc();
-        }
-        outcome
-    }
-
-    /// The shared dispatch loop behind [`Fleet::dispatch`] (whole jobs)
-    /// and [`Fleet::dispatch_shard`] (one sub-box of a sharded UAP job).
-    /// Retries with exponential backoff on distinct workers until one
-    /// reply survives the certificate gate or `max_attempts` is spent.
-    /// Returns the accepted `(envelope, certificate)` and the number of
-    /// attempts actually made.
-    fn dispatch_inner(
-        &self,
-        ctx: &DispatchCtx<'_>,
-        expected: &Expected,
-        cancel: &AtomicBool,
-        shard: Option<(u32, u32)>,
-        max_attempts: u32,
-    ) -> (Option<(Json, Json)>, u32) {
         let mut tried: Vec<String> = Vec::new();
         let mut attempts: u32 = 0;
         // The dispatch span is what the worker's remote spans hang under
@@ -630,14 +531,14 @@ impl Fleet {
         // children reference it by id, so ordering does not matter).
         let dispatch_span = raven_obs::span("fleet_dispatch");
         let outcome = loop {
-            if attempts >= max_attempts {
+            if attempts >= self.config.dispatch_attempts {
                 break None;
             }
             if attempts > 0 {
                 // Exponential backoff between attempts (the previous
                 // worker just failed us; give the fleet a beat). Sleeping
                 // *before* the claim keeps every worker dispatchable to
-                // concurrent jobs and shards while we wait.
+                // concurrent jobs while we wait.
                 self.backoff((attempts - 1).min(5));
             }
             let Some(worker) = self.claim(ctx.model, &expected.model_hash, &tried) else {
@@ -646,26 +547,16 @@ impl Fleet {
             attempts += 1;
             tried.push(worker.name.clone());
             if let Some(journal) = ctx.journal {
-                let record = match shard {
-                    Some((shard, _)) => Record::ShardAttempt {
-                        id: ctx.job_id,
-                        shard,
-                        worker: worker.name.clone(),
-                    },
-                    None => Record::RemoteAttempt {
-                        id: ctx.job_id,
-                        worker: worker.name.clone(),
-                    },
+                let record = Record::RemoteAttempt {
+                    id: ctx.job_id,
+                    worker: worker.name.clone(),
                 };
                 let _ = journal.append(&record, false);
             }
             metrics::FLEET_DISPATCHES.inc();
-            if shard.is_some() {
-                metrics::FLEET_SHARD_DISPATCHES.inc();
-            }
             let t0 = Instant::now();
             let base_us = raven_obs::now_us();
-            let reply = self.round_trip(&worker, ctx, cancel, shard);
+            let reply = self.round_trip(&worker, ctx, cancel);
             let rtt = t0.elapsed();
             match reply {
                 Ok(reply) => {
@@ -697,9 +588,7 @@ impl Fleet {
                                     spans,
                                 );
                             }
-                            let certificate =
-                                reply.get("certificate").cloned().unwrap_or(Json::Null);
-                            break Some((envelope, certificate));
+                            break Some(envelope);
                         }
                         Err(why) => {
                             metrics::FLEET_REJECTED.inc();
@@ -734,7 +623,15 @@ impl Fleet {
                 }
             }
         };
-        (outcome, attempts)
+        if outcome.is_none() && attempts > 0 {
+            metrics::FLEET_LOCAL_FALLBACKS.inc();
+            if let Some(journal) = ctx.journal {
+                let _ = journal.append(&Record::LocalFallback { id: ctx.job_id }, false);
+            }
+        } else if outcome.is_some() {
+            metrics::FLEET_REMOTE_SOLVES.inc();
+        }
+        outcome
     }
 
     /// One job/result exchange on a claimed worker connection.
@@ -743,7 +640,6 @@ impl Fleet {
         worker: &Arc<WorkerConn>,
         ctx: &DispatchCtx<'_>,
         cancel: &AtomicBool,
-        shard: Option<(u32, u32)>,
     ) -> Result<Json, FrameError> {
         let seq = worker.seq.fetch_add(1, Ordering::SeqCst);
         let mut fields = vec![
@@ -754,10 +650,6 @@ impl Fleet {
             ("model_hash", Json::from(ctx.model_hash)),
             ("body", Json::from(ctx.body)),
         ];
-        if let Some((shard, shards)) = shard {
-            fields.push(("shard", Json::from(f64::from(shard))));
-            fields.push(("shards", Json::from(f64::from(shards))));
-        }
         if let Some(ms) = ctx.deadline_ms {
             fields.push(("deadline_ms", Json::from(ms as f64)));
         }
@@ -903,22 +795,6 @@ impl Fleet {
             (
                 "quarantined_workers",
                 Json::from(metrics::FLEET_QUARANTINED_WORKERS.get() as f64),
-            ),
-            (
-                "shard_dispatches",
-                Json::from(metrics::FLEET_SHARD_DISPATCHES.get() as f64),
-            ),
-            (
-                "shard_remote",
-                Json::from(metrics::FLEET_SHARD_REMOTE.get() as f64),
-            ),
-            (
-                "shard_fallbacks",
-                Json::from(metrics::FLEET_SHARD_FALLBACKS.get() as f64),
-            ),
-            (
-                "shard_merges",
-                Json::from(metrics::FLEET_SHARD_MERGES.get() as f64),
             ),
             (
                 "kept_local",
@@ -1142,9 +1018,9 @@ pub struct WorkerOptions {
     /// Exit after the first disconnect instead of reconnecting (tests).
     pub once: bool,
     /// Worker-side result cache capacity (`--cache`; 0 disables). Keyed
-    /// exactly like the server's verdict cache with the shard index folded
-    /// in, so a shard retried on a warm worker skips the re-solve and
-    /// re-emits the identical envelope and certificate.
+    /// exactly like the server's verdict cache, so a job retried on a warm
+    /// worker skips the re-solve and re-emits the identical envelope and
+    /// certificate.
     pub cache_capacity: usize,
 }
 
@@ -1156,7 +1032,7 @@ pub struct WorkerOptions {
 /// Returns the *first* connect error only when no connection ever
 /// succeeded and `once` is set; otherwise retries forever.
 pub fn run_worker(opts: &WorkerOptions, stop: &AtomicBool) -> std::io::Result<()> {
-    // The result cache outlives individual connections: a shard retried on
+    // The result cache outlives individual connections: a job retried on
     // this worker after a reconnect still hits warm.
     let cache = crate::cache::ResultCache::new(opts.cache_capacity);
     let models: Vec<(String, Json)> = opts
@@ -1247,16 +1123,6 @@ fn worker_loop(
             .get("deadline_ms")
             .and_then(Json::as_f64)
             .map(|ms| ms as u64);
-        // A sharded job frame names the sub-box of the perturbation region
-        // this worker should solve; the worker re-derives the box from
-        // (eps, dim, shard, shards) bit-identically to the server.
-        let shard = match (
-            job.get("shard").and_then(Json::as_f64),
-            job.get("shards").and_then(Json::as_f64),
-        ) {
-            (Some(i), Some(n)) if n >= 1.0 && i >= 0.0 && i < n => Some((i as u32, n as u32)),
-            _ => None,
-        };
         // A traced job frame carries the server's trace id: buffer this
         // job's spans under it (timestamps relative to receipt, so the
         // server can rebase them onto its own clock) and ship them home
@@ -1287,7 +1153,6 @@ fn worker_loop(
             &property,
             body.as_bytes(),
             deadline_ms,
-            shard,
             cache,
             stop,
         );
@@ -1347,12 +1212,9 @@ fn worker_loop(
         };
         if matches!(chaos_mode, Some(crate::chaos::WorkerChaos::Disconnect)) {
             // Byzantine mid-frame disconnect: write a torn frame and die.
-            let bytes = reply.to_string().into_bytes();
-            let mut torn = Vec::new();
-            torn.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            torn.extend_from_slice(&fnv1a64(&bytes).to_le_bytes());
-            torn.extend_from_slice(&bytes[..bytes.len() / 2]);
-            let _ = conn.stream.write_all(&torn);
+            let bytes = frame::encode(&reply);
+            let torn = frame::HEADER_BYTES + (bytes.len() - frame::HEADER_BYTES) / 2;
+            let _ = conn.stream.write_all(&bytes[..torn]);
             let _ = conn.stream.flush();
             return;
         }

@@ -25,13 +25,8 @@
 //! ## On-disk format
 //!
 //! A journal is a directory of segments `wal-<seq>.log`. Each record is
-//!
-//! ```text
-//! [u32 LE payload length][u64 LE FNV-1a of payload][payload bytes]
-//! ```
-//!
-//! with the payload a compact JSON object (`raven-json`). The checksum is
-//! the same FNV-1a the model registry uses for content hashes. A torn or
+//! one [`crate::frame`] (length, FNV-1a checksum, compact JSON payload),
+//! the same framing the fleet wire protocol uses. A torn or
 //! corrupt record ends replay of its segment — everything before it is
 //! kept, everything after is unreachable (append-only logs corrupt only
 //! at the tail under crash, so this loses at most the last record).
@@ -47,8 +42,8 @@
 //! oldest closed segments are deleted — trading replayable cache warmth
 //! for bounded disk, never correctness.
 
+use crate::frame;
 use raven_json::Json;
-use raven_nn::fnv1a64;
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -111,29 +106,6 @@ pub enum Record {
         /// Job id.
         id: u64,
     },
-    /// One shard of a sharded UAP job was shipped to a remote fleet
-    /// worker. Crash-accounting-wise a shard attempt behaves like a
-    /// [`Record::RemoteAttempt`]: while any shard is in remote hands the
-    /// local process is waiting on sockets, so a crash in that window is
-    /// excused.
-    ShardAttempt {
-        /// Job id.
-        id: u64,
-        /// Shard index within the job's partition.
-        shard: u32,
-        /// Fleet worker name the shard was shipped to.
-        worker: String,
-    },
-    /// One shard exhausted its remote retries and is being solved locally
-    /// (the other shards' accepted results are kept). Local compute *can*
-    /// crash the process, so — like [`Record::LocalFallback`] — the
-    /// crash-signature weight goes back up.
-    ShardFallback {
-        /// Job id.
-        id: u64,
-        /// Shard index being solved locally.
-        shard: u32,
-    },
     /// The job finished; the envelope is the exact response served.
     Completed {
         /// Job id.
@@ -184,8 +156,6 @@ impl Record {
             | Record::Started { id }
             | Record::RemoteAttempt { id, .. }
             | Record::LocalFallback { id }
-            | Record::ShardAttempt { id, .. }
-            | Record::ShardFallback { id, .. }
             | Record::Completed { id, .. }
             | Record::Failed { id, .. }
             | Record::Quarantined { id }
@@ -227,17 +197,6 @@ impl Record {
             Record::LocalFallback { id } => {
                 Json::obj([("t", Json::from("local_fallback")), id_field(*id)])
             }
-            Record::ShardAttempt { id, shard, worker } => Json::obj([
-                ("t", Json::from("shard_attempt")),
-                id_field(*id),
-                ("shard", Json::from(f64::from(*shard))),
-                ("worker", Json::from(worker.as_str())),
-            ]),
-            Record::ShardFallback { id, shard } => Json::obj([
-                ("t", Json::from("shard_fallback")),
-                id_field(*id),
-                ("shard", Json::from(f64::from(*shard))),
-            ]),
             Record::Completed {
                 id,
                 envelope,
@@ -291,20 +250,15 @@ impl Record {
                 key: key(),
             }),
             "started" => Some(Record::Started { id: id()? }),
-            "remote_attempt" => Some(Record::RemoteAttempt {
+            // Journals written by the since-removed input-sharded dispatch
+            // hold per-shard attempts and fallbacks. They replay as the
+            // whole-job records they mirrored; read as unknown kinds they
+            // would end replay of their segment like corruption.
+            "remote_attempt" | "shard_attempt" => Some(Record::RemoteAttempt {
                 id: id()?,
                 worker: text("worker")?,
             }),
-            "local_fallback" => Some(Record::LocalFallback { id: id()? }),
-            "shard_attempt" => Some(Record::ShardAttempt {
-                id: id()?,
-                shard: json.get("shard").and_then(Json::as_f64)? as u32,
-                worker: text("worker")?,
-            }),
-            "shard_fallback" => Some(Record::ShardFallback {
-                id: id()?,
-                shard: json.get("shard").and_then(Json::as_f64)? as u32,
-            }),
+            "local_fallback" | "shard_fallback" => Some(Record::LocalFallback { id: id()? }),
             "completed" => Some(Record::Completed {
                 id: id()?,
                 envelope: json.get("envelope")?.clone(),
@@ -331,36 +285,21 @@ impl Record {
 
 /// Encodes one record into its on-disk framing.
 fn encode_record(record: &Record) -> Vec<u8> {
-    let payload = record.to_json().to_string().into_bytes();
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    frame::encode(&record.to_json())
 }
 
 /// Decodes as many whole, checksum-valid records as `bytes` holds; stops
-/// silently at the first torn or corrupt frame (crash tail).
+/// silently at the first torn or corrupt frame (crash tail) or unknown
+/// record kind.
 fn decode_records(bytes: &[u8]) -> Vec<Record> {
     let mut records = Vec::new();
     let mut at = 0usize;
-    while bytes.len() - at >= 12 {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let crc = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap());
-        let Some(payload) = bytes.get(at + 12..at + 12 + len) else {
-            break; // torn tail: length points past EOF
-        };
-        if fnv1a64(payload) != crc {
-            break; // corrupt payload
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            break;
-        };
-        let Some(record) = Json::parse(text).ok().as_ref().and_then(Record::from_json) else {
+    while let Ok(Some((json, used))) = frame::decode(&bytes[at..]) {
+        let Some(record) = Record::from_json(&json) else {
             break;
         };
         records.push(record);
-        at += 12 + len;
+        at += used;
     }
     records
 }
@@ -698,23 +637,6 @@ impl ReplayState {
                         job.crash_weight += 1;
                     }
                 }
-                // Shard-granular dispatch mirrors the whole-job records:
-                // any live shard attempt means a crash during the window is
-                // excused (the work was in remote hands), while the first
-                // shard falling back to a local solve restores the local
-                // crash accounting.
-                Record::ShardAttempt { .. } => {
-                    if !job.remote {
-                        job.remote = true;
-                        job.crash_weight = job.crash_weight.saturating_sub(1);
-                    }
-                }
-                Record::ShardFallback { .. } => {
-                    if job.remote {
-                        job.remote = false;
-                        job.crash_weight += 1;
-                    }
-                }
                 Record::Completed {
                     envelope,
                     cacheable,
@@ -804,12 +726,6 @@ mod tests {
                 worker: "w-1".to_string(),
             },
             Record::LocalFallback { id: 4 },
-            Record::ShardAttempt {
-                id: 5,
-                shard: 2,
-                worker: "w-2".to_string(),
-            },
-            Record::ShardFallback { id: 5, shard: 2 },
             Record::CleanShutdown,
         ];
         let mut bytes = Vec::new();
@@ -922,38 +838,36 @@ mod tests {
 
     #[test]
     fn shard_records_excuse_crash_signatures_like_whole_job_ones() {
-        let attempt = |id, shard| Record::ShardAttempt {
-            id,
-            shard,
-            worker: "w-1".to_string(),
+        // Raw frames as input-sharded dispatch journaled them: shard
+        // attempts and a shard fallback, then the job's completion.
+        let shard_frame = |t: &str, shard: f64, worker: Option<&str>| {
+            let mut fields = vec![
+                ("t", Json::from(t)),
+                ("id", Json::from(11.0)),
+                ("shard", Json::from(shard)),
+            ];
+            fields.extend(worker.map(|w| ("worker", Json::from(w))));
+            frame::encode(&Json::obj(fields))
         };
-        // Crash while shards were in remote hands: excused, like a
-        // whole-job RemoteAttempt. Attempts on several shards excuse only
-        // the one start.
-        let records = vec![
-            submitted(11, None),
-            Record::Started { id: 11 },
-            attempt(11, 0),
-            attempt(11, 1),
-            Record::Started { id: 11 }, // restart, re-dispatched
-            attempt(11, 0),
-        ];
+        let mut bytes = encode_record(&submitted(11, None));
+        bytes.extend(encode_record(&Record::Started { id: 11 }));
+        bytes.extend(shard_frame("shard_attempt", 0.0, Some("w-1")));
+        bytes.extend(shard_frame("shard_fallback", 0.0, None));
+        bytes.extend(shard_frame("shard_attempt", 1.0, Some("w-2")));
+        bytes.extend(encode_record(&completed(11)));
+        let records = decode_records(&bytes);
+        assert_eq!(records.len(), 6, "no record dropped: {records:?}");
+        assert_eq!(records[3], Record::LocalFallback { id: 11 });
         let state = ReplayState::digest(&records);
-        assert_eq!(state.jobs[&11].starts, 2);
-        assert_eq!(state.jobs[&11].crash_weight, 0);
-        assert!(state.jobs[&11].remote);
-
-        // A shard falling back to local compute restores the crash
-        // accounting for the whole job.
-        let records = vec![
-            submitted(11, None),
-            Record::Started { id: 11 },
-            attempt(11, 0),
-            Record::ShardFallback { id: 11, shard: 0 },
-        ];
-        let state = ReplayState::digest(&records);
-        assert_eq!(state.jobs[&11].crash_weight, 1);
-        assert!(!state.jobs[&11].remote);
+        let job = &state.jobs[&11];
+        assert_eq!(job.crash_weight, 0);
+        assert_eq!(
+            job.terminal,
+            Some(ReplayTerminal::Completed {
+                envelope: Json::obj([("result", Json::from(11.0))]),
+                cacheable: true,
+            })
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@ pub mod api;
 pub mod cache;
 pub mod chaos;
 pub mod fleet;
+pub mod frame;
 pub mod http;
 pub mod journal;
 pub mod metrics;
@@ -143,7 +144,9 @@ pub struct ServerState {
     pub queue: Arc<JobQueue>,
     /// The verdict cache.
     pub cache: ResultCache,
-    /// Async jobs by id.
+    /// Jobs by id: `/v1/jobs` submissions, recovered jobs, and sync
+    /// requests that carried an idempotency key. Unkeyed sync requests
+    /// leave the map once answered.
     pub jobs: Mutex<HashMap<u64, Arc<queue::JobSlot>>>,
     /// Next job id.
     pub next_job_id: AtomicU64,

@@ -80,14 +80,6 @@ pub static FLEET_LOCAL_FALLBACKS: Counter = Counter::new();
 pub static FLEET_REMOTE_SOLVES: Counter = Counter::new();
 /// Seconds per dispatch round trip (ship job, receive + gate the reply).
 pub static FLEET_DISPATCH_SECONDS: Histogram = Histogram::new();
-/// Shard dispatch attempts shipped to fleet workers (one per attempt).
-pub static FLEET_SHARD_DISPATCHES: Counter = Counter::new();
-/// Shards whose accepted result came from a fleet worker.
-pub static FLEET_SHARD_REMOTE: Counter = Counter::new();
-/// Shards that exhausted their remote retries and were solved locally.
-pub static FLEET_SHARD_FALLBACKS: Counter = Counter::new();
-/// Sharded jobs whose per-shard verdicts were merged into one verdict.
-pub static FLEET_SHARD_MERGES: Counter = Counter::new();
 /// Fleet-eligible jobs kept on the local pool because it was idle
 /// (saturation-aware admission declined to dispatch remotely).
 pub static FLEET_KEPT_LOCAL: Counter = Counter::new();
@@ -99,7 +91,7 @@ pub static TRACES_DROPPED: Counter = Counter::new();
 pub static TRACES_REMOTE_SPANS: Counter = Counter::new();
 
 /// Exposition table for the service layer, in stable scrape order.
-pub static DESCS: [Desc; 40] = [
+pub static DESCS: [Desc; 36] = [
     Desc {
         name: "raven_serve_queue_depth",
         help: "Jobs waiting for a worker.",
@@ -291,30 +283,6 @@ pub static DESCS: [Desc; 40] = [
         help: "Seconds per fleet dispatch round trip.",
         labels: "",
         metric: MetricRef::Histogram(&FLEET_DISPATCH_SECONDS),
-    },
-    Desc {
-        name: "raven_serve_fleet_shard_dispatches_total",
-        help: "Shard dispatch attempts shipped to fleet workers.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_SHARD_DISPATCHES),
-    },
-    Desc {
-        name: "raven_serve_fleet_shard_remote_total",
-        help: "Shards whose accepted result came from a fleet worker.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_SHARD_REMOTE),
-    },
-    Desc {
-        name: "raven_serve_fleet_shard_fallbacks_total",
-        help: "Shards that exhausted remote retries and ran locally.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_SHARD_FALLBACKS),
-    },
-    Desc {
-        name: "raven_serve_fleet_shard_merges_total",
-        help: "Sharded jobs merged into one verdict from per-shard results.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_SHARD_MERGES),
     },
     Desc {
         name: "raven_serve_fleet_kept_local_total",

@@ -478,156 +478,6 @@ fn slow_client_is_answered_408_within_the_configured_timeout() {
     );
 }
 
-/// Tentpole: `--fleet-shards N` splits the input region across workers;
-/// the merged verdict bytes are identical to a fleet-less run and to a
-/// whole-job remote run, and the shard counters account for the split.
-#[test]
-fn sharded_dispatch_preserves_verdict_bytes() {
-    let body = uap_body(0.03, &[]);
-    let baseline = baseline_result(&body);
-
-    let server = ServerProc::spawn(
-        &[
-            "--workers",
-            "1",
-            "--fleet-addr",
-            "127.0.0.1:0",
-            "--fleet-shards",
-            "3",
-        ],
-        &[],
-    );
-    let _w1 = WorkerProc::spawn(server.fleet_addr(), "shard-w1", &[]);
-    let _w2 = WorkerProc::spawn(server.fleet_addr(), "shard-w2", &[]);
-    wait_worker_connected(server.addr, "shard-w1");
-    wait_worker_connected(server.addr, "shard-w2");
-
-    let (reply, result) = uap_result(server.addr, &body);
-    assert_eq!(result, baseline, "sharded verdict differs from local");
-    assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(false));
-    assert!(metric(server.addr, "raven_serve_fleet_shard_dispatches_total") >= 2.0);
-    assert!(metric(server.addr, "raven_serve_fleet_shard_remote_total") >= 1.0);
-    assert!(metric(server.addr, "raven_serve_fleet_shard_merges_total") >= 1.0);
-    // Shard accounting also reaches healthz.
-    let health = healthz(server.addr);
-    let merges = health
-        .get("fleet")
-        .and_then(|f| f.get("shard_merges"))
-        .and_then(Json::as_f64)
-        .expect("fleet.shard_merges in healthz");
-    assert!(merges >= 1.0);
-}
-
-/// Tentpole acceptance: each Byzantine chaos mode afflicting exactly one
-/// shard's worker is contained to that shard — the job completes with
-/// verdict bytes identical to a fleet-less run, the other shard's
-/// accepted result is kept, and the failure is visible in the metrics.
-#[test]
-fn byzantine_shard_worker_never_changes_merged_verdict_bytes() {
-    let body = uap_body(0.03, &[]);
-    let baseline = baseline_result(&body);
-
-    for (mode, name, failure_metric) in [
-        (
-            "corrupt-duals",
-            "shard-liar-duals",
-            "raven_serve_fleet_rejected_total",
-        ),
-        (
-            "flip-verdict",
-            "shard-liar-flip",
-            "raven_serve_fleet_rejected_total",
-        ),
-        ("stall", "shard-staller", "raven_serve_fleet_timeouts_total"),
-        (
-            "disconnect",
-            "shard-cutter",
-            "raven_serve_fleet_disconnects_total",
-        ),
-    ] {
-        let server = ServerProc::spawn(
-            &[
-                "--workers",
-                "1",
-                "--fleet-addr",
-                "127.0.0.1:0",
-                "--fleet-shards",
-                "2",
-                "--fleet-timeout-ms",
-                "500",
-            ],
-            &[],
-        );
-        // Two free workers, two shards: each shard claims a distinct
-        // worker, so exactly one shard meets the Byzantine one.
-        let _honest = WorkerProc::spawn(server.fleet_addr(), "shard-honest", &[]);
-        let _liar = WorkerProc::spawn(server.fleet_addr(), name, &[("RAVEN_WORKER_CHAOS", mode)]);
-        wait_worker_connected(server.addr, "shard-honest");
-        wait_worker_connected(server.addr, name);
-
-        let (_, result) = uap_result(server.addr, &body);
-        assert_eq!(
-            result, baseline,
-            "{mode}: Byzantine shard worker changed merged verdict bytes"
-        );
-        assert!(
-            metric(server.addr, failure_metric) >= 1.0,
-            "{mode}: shard failure left no trace in {failure_metric}"
-        );
-        assert!(
-            metric(server.addr, "raven_serve_fleet_shard_merges_total") >= 1.0,
-            "{mode}: job did not complete through the merge path"
-        );
-    }
-}
-
-/// Tentpole: a sharded certificate request serves a merged certificate
-/// that replays through `raven_check`, and a tampered merge claiming a
-/// tighter bound than the shard minima imply is rejected.
-#[test]
-fn merged_certificate_replays_and_tampered_merge_is_rejected() {
-    let body = uap_body(0.03, &[("certificate", Json::from(true))]);
-    let server = ServerProc::spawn(
-        &[
-            "--workers",
-            "1",
-            "--fleet-addr",
-            "127.0.0.1:0",
-            "--fleet-shards",
-            "2",
-        ],
-        &[],
-    );
-    let _worker = WorkerProc::spawn(server.fleet_addr(), "shard-prover", &[]);
-    wait_worker_connected(server.addr, "shard-prover");
-
-    let (status, reply) = request(server.addr, "POST", "/v1/verify/uap", &body);
-    assert_eq!(status, 200, "{reply}");
-    let cert = reply.get("certificate").expect("merged certificate served");
-    assert!(
-        raven_check::MergedCertificate::is_merged(cert),
-        "sharded run must serve the merged certificate kind"
-    );
-    raven_check::check_certificate_json(cert).expect("merged certificate replays");
-
-    // Tamper: weaken shard 0's claim (consistently with its own proof)
-    // while leaving the merged numbers untouched — the merge now claims a
-    // tighter bound than the shard minima imply.
-    let mut merged = raven_check::MergedCertificate::from_json(cert).unwrap();
-    let k = merged.k;
-    assert!(
-        merged.merged_individually_verified == k,
-        "test batch should fully verify"
-    );
-    merged.claims[0].individually_verified = k - 1;
-    merged.claims[0].worst_case_hamming += 1.0;
-    let err = raven_check::check_certificate_json(&merged.to_json()).unwrap_err();
-    assert!(
-        matches!(err, raven_check::CheckError::Reject(_)),
-        "tampered merge must be rejected, got {err}"
-    );
-}
-
 /// Tentpole: saturation-aware admission. An idle pool keeps jobs local
 /// even with healthy workers connected; a saturated pool dispatches.
 #[test]

@@ -206,6 +206,55 @@ fn overload_beyond_queue_bound_answers_429() {
     runner.join().expect("server thread");
 }
 
+#[test]
+fn sync_requests_release_their_job_slot_unless_keyed() {
+    // No cache, so every request reaches the queue and the jobs map.
+    let config = ServerConfig {
+        cache_capacity: 0,
+        ..ServerConfig::default()
+    };
+    let (addr, shutdown, runner) = start_server(config);
+    let body = uap_body(0.01, "deeppoly", &[]);
+
+    // An answered unkeyed sync request leaves nothing behind.
+    let (status, reply) = request(addr, "POST", "/v1/verify/uap", &body);
+    assert_eq!(status, 200, "{reply}");
+    let (status, _) = request(addr, "GET", "/v1/jobs/1", "");
+    assert_eq!(status, 404, "sync job slot released after answering");
+
+    // A keyed sync request keeps its slot, so a retry dedups onto it.
+    let keyed = uap_body(
+        0.01,
+        "deeppoly",
+        &[("idempotency_key", Json::from("sync-retry"))],
+    );
+    let (status, first) = request(addr, "POST", "/v1/verify/uap", &keyed);
+    assert_eq!(status, 200, "{first}");
+    let (status, second) = request(addr, "POST", "/v1/verify/uap", &keyed);
+    assert_eq!(status, 200, "{second}");
+    assert_eq!(first.to_string(), second.to_string(), "retry replays");
+    let (_, _, metrics) = request_raw(addr, "GET", "/v1/metrics", "");
+    let hits: f64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("raven_serve_idempotent_hits_total "))
+        .and_then(|v| v.parse().ok())
+        .expect("idempotent hit counter exposed");
+    assert!(hits >= 1.0, "keyed retry deduped: {hits}");
+    let (status, _) = request(addr, "GET", "/v1/jobs/2", "");
+    assert_eq!(status, 200, "keyed sync job slot kept");
+
+    // Async submissions stay pollable after they finish.
+    let (status, job) = request(addr, "POST", "/v1/jobs", &with_property(&body));
+    assert_eq!(status, 202, "{job}");
+    let id = job.get("job_id").and_then(Json::as_usize).unwrap();
+    wait_for_status(addr, id, "done");
+    let (status, _) = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+    assert_eq!(status, 200, "finished async job still pollable");
+
+    shutdown.shutdown();
+    runner.join().expect("server thread");
+}
+
 /// Adds the `property` discriminator `/v1/jobs` needs.
 fn with_property(body: &str) -> String {
     let mut json = match Json::parse(body).unwrap() {

@@ -12,18 +12,26 @@
 //! Affine layers are substituted inline: pre-activation expressions are
 //! kept as sparse linear expressions over the previous layer's variables,
 //! so the LP never carries explicit pre-activation variables.
+//!
+//! Every coefficient is summed in a fixed order — over the previous layer
+//! in ascending index, starting from `0.0` — so the emitted LP is the same
+//! `f64` for `f64` on every run.
 
 use raven_deeppoly::{relax_activation, DeepPolyAnalysis};
 use raven_diffpoly::DiffPolyAnalysis;
 use raven_interval::Interval;
 use raven_lp::{LinExpr, LpProblem, Sense, VarId};
 use raven_nn::{ActKind, AnalysisPlan, PlanStep};
-use std::collections::HashMap;
+use raven_tensor::Matrix;
+use std::iter;
 
 /// A sparse affine expression over LP variables: `Σ c_i v_i + constant`.
+///
+/// The terms are sorted by variable, name each variable at most once and
+/// never carry a zero coefficient.
 #[derive(Debug, Clone, Default)]
 pub struct Expr {
-    terms: HashMap<VarId, f64>,
+    terms: Vec<(VarId, f64)>,
     constant: f64,
 }
 
@@ -31,17 +39,15 @@ impl Expr {
     /// The constant expression.
     pub fn constant(c: f64) -> Self {
         Self {
-            terms: HashMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
 
     /// The expression `1·v`.
     pub fn var(v: VarId) -> Self {
-        let mut terms = HashMap::new();
-        terms.insert(v, 1.0);
         Self {
-            terms,
+            terms: vec![(v, 1.0)],
             constant: 0.0,
         }
     }
@@ -49,7 +55,15 @@ impl Expr {
     /// Adds `coeff·v` to the expression (builder style).
     pub fn plus_var(mut self, coeff: f64, v: VarId) -> Self {
         if coeff != 0.0 {
-            *self.terms.entry(v).or_insert(0.0) += coeff;
+            match self.terms.binary_search_by_key(&v, |&(u, _)| u) {
+                Ok(i) => {
+                    self.terms[i].1 += coeff;
+                    if self.terms[i].1 == 0.0 {
+                        self.terms.remove(i);
+                    }
+                }
+                Err(i) => self.terms.insert(i, (v, coeff)),
+            }
         }
         self
     }
@@ -60,9 +74,24 @@ impl Expr {
             return;
         }
         self.constant += alpha * other.constant;
-        for (&v, &c) in &other.terms {
-            *self.terms.entry(v).or_insert(0.0) += alpha * c;
+        let mut own = std::mem::take(&mut self.terms).into_iter().peekable();
+        let mut merged = Vec::with_capacity(own.len() + other.terms.len());
+        for &(v, c) in &other.terms {
+            while let Some(t) = own.next_if(|&(u, _)| u < v) {
+                merged.push(t);
+            }
+            // A variable new to `self` starts from `0.0`; `0.0 + x` is `x`
+            // up to the sign of zero, and zeros are dropped either way.
+            let sum = match own.next_if(|&(u, _)| u == v) {
+                Some((_, mine)) => mine + alpha * c,
+                None => alpha * c,
+            };
+            if sum != 0.0 {
+                merged.push((v, sum));
+            }
         }
+        merged.extend(own);
+        self.terms = merged;
     }
 
     /// The expression's constant part.
@@ -72,16 +101,12 @@ impl Expr {
 
     /// Whether the expression has no variable terms.
     pub fn is_constant(&self) -> bool {
-        self.terms.values().all(|&c| c == 0.0)
+        self.terms.is_empty()
     }
 
     /// Converts the variable part into a solver [`LinExpr`].
     pub fn to_lin_expr(&self) -> LinExpr {
-        self.terms
-            .iter()
-            .filter(|&(_, &c)| c != 0.0)
-            .map(|(&v, &c)| (v, c))
-            .collect()
+        self.terms.iter().copied().collect()
     }
 
     /// Evaluates the expression at an assignment indexed by variable.
@@ -90,25 +115,88 @@ impl Expr {
             + self
                 .terms
                 .iter()
-                .map(|(&v, &c)| c * x[v.index()])
+                .map(|&(v, c)| c * x[v.index()])
                 .sum::<f64>()
     }
 }
 
-/// Adds the constraint `target (sense) expr`, i.e.
-/// `target − expr.terms (sense) expr.constant`.
-fn add_row(problem: &mut LpProblem, target: VarId, scale: f64, expr: &Expr, sense: Sense) {
-    let mut lhs = Expr::var(target);
-    lhs.add_scaled(-scale, expr);
-    let rhs = -lhs.constant;
-    let mut lin = lhs.to_lin_expr();
-    // `to_lin_expr` drops the constant; rebuild with target coefficient kept.
-    if lin.terms().is_empty() {
-        // Degenerate: the target itself cancelled; encode as a bound-like
-        // row anyway for uniformity.
-        lin = LinExpr::new().term(1.0, target).term(-1.0, target);
+/// Adds the row `target (sense) slope·expr + intercept`, written as
+/// `target − slope·expr.terms (sense) slope·expr.constant + intercept`.
+fn add_row(
+    problem: &mut LpProblem,
+    target: VarId,
+    sense: Sense,
+    slope: f64,
+    intercept: f64,
+    expr: &Expr,
+) {
+    // `target` is always a variable created after every one `expr` uses, so
+    // it never cancels and the row's terms arrive sorted.
+    debug_assert!(
+        expr.terms.last().is_none_or(|&(v, _)| v < target),
+        "row target must be newer than every variable of its expression"
+    );
+    // `LinExpr` drops the coefficients that round to zero.
+    let lin: LinExpr = expr
+        .terms
+        .iter()
+        .map(|&(v, c)| (v, -(slope * c)))
+        .chain(iter::once((target, 1.0)))
+        .collect();
+    let constant = intercept + slope * expr.constant;
+    // Moving the constant across gives `−(0 − c)`: a zero constant keeps
+    // the `-0` right-hand side that the LP text prints.
+    problem.add_constraint(lin, sense, -(0.0 - constant));
+}
+
+/// Dense per-variable sums for [`compose_affine`], indexed by
+/// `VarId::index()` and reused across rows, layers and executions.
+#[derive(Default)]
+struct Accumulator {
+    sums: Vec<f64>,
+    hit: Vec<bool>,
+    touched: Vec<VarId>,
+}
+
+impl Accumulator {
+    /// Makes room for every variable the expressions in `exprs` use.
+    fn fit(&mut self, exprs: &[Expr]) {
+        let width = exprs
+            .iter()
+            .filter_map(|e| e.terms.last())
+            .map(|&(v, _)| v.index() + 1)
+            .max()
+            .unwrap_or(0);
+        if width > self.sums.len() {
+            self.sums.resize(width, 0.0);
+            self.hit.resize(width, false);
+        }
     }
-    problem.add_constraint(lin, sense, rhs);
+
+    fn add(&mut self, v: VarId, x: f64) {
+        let i = v.index();
+        if !self.hit[i] {
+            self.hit[i] = true;
+            self.touched.push(v);
+        }
+        self.sums[i] += x;
+    }
+
+    /// The accumulated nonzero sums as sorted terms; resets every slot.
+    fn take_terms(&mut self) -> Vec<(VarId, f64)> {
+        self.touched.sort_unstable();
+        let mut terms = Vec::with_capacity(self.touched.len());
+        for &v in &self.touched {
+            let i = v.index();
+            self.hit[i] = false;
+            let c = std::mem::replace(&mut self.sums[i], 0.0);
+            if c != 0.0 {
+                terms.push((v, c));
+            }
+        }
+        self.touched.clear();
+        terms
+    }
 }
 
 /// Per-execution variable map produced by the encoder.
@@ -165,10 +253,17 @@ pub fn encode(
         "encoder expects the plan to end with an affine step"
     );
     assert_eq!(input_exprs.len(), deeppoly.len(), "exec count mismatch");
+    let mut acc = Accumulator::default();
     let k = input_exprs.len();
     let mut execs = Vec::with_capacity(k);
     for e in 0..k {
-        execs.push(encode_exec(problem, plan, &input_exprs[e], deeppoly[e]));
+        execs.push(encode_exec(
+            problem,
+            plan,
+            &mut acc,
+            &input_exprs[e],
+            deeppoly[e],
+        ));
     }
     let mut pairs = Vec::with_capacity(diff_pairs.len());
     for &(a, b, diff) in diff_pairs {
@@ -176,6 +271,7 @@ pub fn encode(
         pairs.push(encode_pair(
             problem,
             plan,
+            &mut acc,
             a,
             b,
             &input_exprs[a],
@@ -188,16 +284,32 @@ pub fn encode(
     Encoding { execs, pairs }
 }
 
-fn compose_affine(weight: &raven_tensor::Matrix, bias: Option<&[f64]>, prev: &[Expr]) -> Vec<Expr> {
+/// `weight · prev + bias`, one expression per output row. Each variable's
+/// coefficient sums its contributions over `prev` in ascending index,
+/// starting from `0.0`; the constant starts from the bias (or `0.0`).
+fn compose_affine(
+    weight: &Matrix,
+    bias: Option<&[f64]>,
+    prev: &[Expr],
+    acc: &mut Accumulator,
+) -> Vec<Expr> {
+    acc.fit(prev);
     (0..weight.rows())
         .map(|i| {
-            let mut e = Expr::constant(bias.map_or(0.0, |b| b[i]));
+            let mut constant = bias.map_or(0.0, |b| b[i]);
             for (j, &w) in weight.row(i).iter().enumerate() {
                 if w != 0.0 {
-                    e.add_scaled(w, &prev[j]);
+                    let p = &prev[j];
+                    constant += w * p.constant;
+                    for &(v, c) in &p.terms {
+                        acc.add(v, w * c);
+                    }
                 }
             }
-            e
+            Expr {
+                terms: acc.take_terms(),
+                constant,
+            }
         })
         .collect()
 }
@@ -212,6 +324,7 @@ fn safe_bounds(iv: &Interval) -> (f64, f64) {
 fn encode_exec(
     problem: &mut LpProblem,
     plan: &AnalysisPlan,
+    acc: &mut Accumulator,
     input_exprs: &[Expr],
     dp: &DeepPolyAnalysis,
 ) -> ExecVars {
@@ -220,7 +333,7 @@ fn encode_exec(
     for (s, step) in plan.steps().iter().enumerate() {
         match step {
             PlanStep::Affine { weight, bias } => {
-                prev = compose_affine(weight, Some(bias), &prev);
+                prev = compose_affine(weight, Some(bias), &prev, acc);
             }
             PlanStep::Act(kind) => {
                 let pre_bounds = &dp.bounds[s];
@@ -244,7 +357,7 @@ fn encode_exec(
     for (n, expr) in prev.iter().enumerate() {
         let (lo, hi) = safe_bounds(&out_bounds[n]);
         let o = problem.add_var(lo, hi);
-        add_row(problem, o, 1.0, expr, Sense::Eq);
+        add_row(problem, o, Sense::Eq, 1.0, 0.0, expr);
         outputs.push(o);
     }
     ExecVars { hidden, outputs }
@@ -262,16 +375,14 @@ fn encode_activation(
         ActKind::Relu => {
             if plo >= 0.0 {
                 // Stable active: h = pre.
-                add_row(problem, h, 1.0, pre, Sense::Eq);
+                add_row(problem, h, Sense::Eq, 1.0, 0.0, pre);
             } else if phi <= 0.0 {
                 // Stable inactive: bounds already pin h to [0, 0].
             } else {
                 // Unstable: h ≥ pre, h ≥ 0 (bound), h ≤ λ·pre + μ.
-                add_row(problem, h, 1.0, pre, Sense::Ge);
+                add_row(problem, h, Sense::Ge, 1.0, 0.0, pre);
                 let r = relax_activation(kind, plo, phi);
-                let mut upper = Expr::constant(r.upper_intercept);
-                upper.add_scaled(r.upper_slope, pre);
-                add_row(problem, h, 1.0, &upper, Sense::Le);
+                add_row(problem, h, Sense::Le, r.upper_slope, r.upper_intercept, pre);
             }
         }
         ActKind::Sigmoid | ActKind::Tanh | ActKind::LeakyRelu | ActKind::HardTanh => {
@@ -281,16 +392,10 @@ fn encode_activation(
             let r = relax_activation(kind, plo, phi);
             let exact = r.lower_slope == r.upper_slope && r.lower_intercept == r.upper_intercept;
             if exact {
-                let mut line = Expr::constant(r.lower_intercept);
-                line.add_scaled(r.lower_slope, pre);
-                add_row(problem, h, 1.0, &line, Sense::Eq);
+                add_row(problem, h, Sense::Eq, r.lower_slope, r.lower_intercept, pre);
             } else {
-                let mut lower = Expr::constant(r.lower_intercept);
-                lower.add_scaled(r.lower_slope, pre);
-                add_row(problem, h, 1.0, &lower, Sense::Ge);
-                let mut upper = Expr::constant(r.upper_intercept);
-                upper.add_scaled(r.upper_slope, pre);
-                add_row(problem, h, 1.0, &upper, Sense::Le);
+                add_row(problem, h, Sense::Ge, r.lower_slope, r.lower_intercept, pre);
+                add_row(problem, h, Sense::Le, r.upper_slope, r.upper_intercept, pre);
             }
         }
     }
@@ -300,6 +405,7 @@ fn encode_activation(
 fn encode_pair(
     problem: &mut LpProblem,
     plan: &AnalysisPlan,
+    acc: &mut Accumulator,
     a: usize,
     b: usize,
     input_a: &[Expr],
@@ -324,7 +430,7 @@ fn encode_pair(
         match step {
             PlanStep::Affine { weight, .. } => {
                 // Bias cancels in the difference.
-                prev = compose_affine(weight, None, &prev);
+                prev = compose_affine(weight, None, &prev, acc);
             }
             PlanStep::Act(_) => {
                 let relax = diff.relaxations[s]
@@ -338,25 +444,40 @@ fn encode_pair(
                     // Linking equality Δ = h_a − h_b.
                     let link = Expr::var(exec_a.hidden[act_layer][n])
                         .plus_var(-1.0, exec_b.hidden[act_layer][n]);
-                    add_row(problem, dv, 1.0, &link, Sense::Eq);
+                    add_row(problem, dv, Sense::Eq, 1.0, 0.0, &link);
                     // δ-space cross-execution lines.
                     let r = &relax[n];
                     let same_line =
                         r.lower_slope == r.upper_slope && r.lower_intercept == r.upper_intercept;
                     if same_line {
                         if r.lower_slope != 0.0 || r.lower_intercept != 0.0 || !dpre.is_constant() {
-                            let mut line = Expr::constant(r.lower_intercept);
-                            line.add_scaled(r.lower_slope, dpre);
-                            add_row(problem, dv, 1.0, &line, Sense::Eq);
+                            add_row(
+                                problem,
+                                dv,
+                                Sense::Eq,
+                                r.lower_slope,
+                                r.lower_intercept,
+                                dpre,
+                            );
                         }
                         // Exact zero with constant input: bounds suffice.
                     } else {
-                        let mut lower = Expr::constant(r.lower_intercept);
-                        lower.add_scaled(r.lower_slope, dpre);
-                        add_row(problem, dv, 1.0, &lower, Sense::Ge);
-                        let mut upper = Expr::constant(r.upper_intercept);
-                        upper.add_scaled(r.upper_slope, dpre);
-                        add_row(problem, dv, 1.0, &upper, Sense::Le);
+                        add_row(
+                            problem,
+                            dv,
+                            Sense::Ge,
+                            r.lower_slope,
+                            r.lower_intercept,
+                            dpre,
+                        );
+                        add_row(
+                            problem,
+                            dv,
+                            Sense::Le,
+                            r.upper_slope,
+                            r.upper_intercept,
+                            dpre,
+                        );
                     }
                     layer_vars.push(dv);
                 }
@@ -373,9 +494,9 @@ fn encode_pair(
     for (n, expr) in prev.iter().enumerate() {
         let (lo, hi) = safe_bounds(&out_bounds[n]);
         let dv = problem.add_var(lo, hi);
-        add_row(problem, dv, 1.0, expr, Sense::Eq);
+        add_row(problem, dv, Sense::Eq, 1.0, 0.0, expr);
         let link = Expr::var(exec_a.outputs[n]).plus_var(-1.0, exec_b.outputs[n]);
-        add_row(problem, dv, 1.0, &link, Sense::Eq);
+        add_row(problem, dv, Sense::Eq, 1.0, 0.0, &link);
         outputs.push(dv);
     }
     PairVars {

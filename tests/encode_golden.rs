@@ -218,6 +218,66 @@ fn encoder_output_matches_golden_hashes() {
     );
 }
 
+/// The encoding the UAP verifier builds for a k = 3 batch: DeepPoly on
+/// `z_i ± eps`, DiffPoly on each pair with input difference
+/// `Interval::point(z_a − z_b)` (the shared perturbation cancels), and the
+/// relational LP over `z_i + d`.
+fn verifier_uap_lp(net: &Network, eps: f64, pairs: PairStrategy, seed: u64) -> String {
+    let plan = net.to_plan();
+    let dim = plan.input_dim();
+    let zs = centers(dim, 3, seed);
+    let dps: Vec<DeepPolyAnalysis> = zs
+        .iter()
+        .map(|z| DeepPolyAnalysis::run(&plan, &linf_ball(z, eps, f64::NEG_INFINITY, f64::INFINITY)))
+        .collect();
+    let diffs: Vec<(usize, usize, DiffPolyAnalysis)> = pairs
+        .pairs(zs.len())
+        .into_iter()
+        .map(|(a, b)| {
+            let delta: Vec<Interval> = zs[a]
+                .iter()
+                .zip(&zs[b])
+                .map(|(&za, &zb)| Interval::point(za - zb))
+                .collect();
+            (a, b, DiffPolyAnalysis::run(&plan, &dps[a], &dps[b], &delta))
+        })
+        .collect();
+    let mut lp = LpProblem::new();
+    let d_vars: Vec<VarId> = (0..dim).map(|_| lp.add_var(-eps, eps)).collect();
+    let input_exprs: Vec<Vec<Expr>> = zs
+        .iter()
+        .map(|z| {
+            z.iter()
+                .zip(&d_vars)
+                .map(|(&zj, &dj)| Expr::constant(zj).plus_var(1.0, dj))
+                .collect()
+        })
+        .collect();
+    let dp_refs: Vec<&DeepPolyAnalysis> = dps.iter().collect();
+    let pair_refs: Vec<(usize, usize, &DiffPolyAnalysis)> =
+        diffs.iter().map(|(a, b, d)| (*a, *b, d)).collect();
+    encode(&mut lp, &plan, &input_exprs, &dp_refs, &pair_refs);
+    to_lp_format(&lp)
+}
+
+#[test]
+fn export_lp_matches_the_uap_verifier_encoding() {
+    // `export_lp` must emit the LP the verifier solves, so each pair's
+    // input difference has to cancel the shared perturbation exactly.
+    for (name, net, eps) in [
+        ("relu3", fc_net(ActKind::Relu, 3, 11), 0.08),
+        ("sigmoid", fc_net(ActKind::Sigmoid, 2, 21), 0.1),
+    ] {
+        for pairs in [PairStrategy::Consecutive, PairStrategy::AllPairs] {
+            assert!(
+                uap_lp(&net, eps, pairs, 7) == verifier_uap_lp(&net, eps, pairs, 7),
+                "{name}/{}: export_lp differs from the verifier's encoding",
+                pairs.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn golden_cases_exercise_every_row_shape() {
     // The hashes only pin what the cases reach: make sure they reach

@@ -372,7 +372,7 @@ pub fn t6(scope: Scope, threads: usize) -> Table {
 /// T7: targeted UAP — certified maximum number of executions a shared
 /// perturbation can force into a designated class.
 pub fn t7(scope: Scope, threads: usize) -> Table {
-    use raven::{verify_targeted_uap, TargetedUapProblem};
+    use raven::verify_targeted_uap_all;
     let mut table = Table::new(
         "T7: targeted UAP — certified max executions forced to target, fc-small, k=4",
         &["train", "eps", "target", "deeppoly", "raven"],
@@ -397,23 +397,22 @@ pub fn t7(scope: Scope, threads: usize) -> Table {
             }
         }
         let rows: Vec<Vec<String>> = raven::par::map(threads, &cases, |&(eps, target)| {
-            let problem = TargetedUapProblem {
-                base: UapProblem {
-                    plan: plan.clone(),
-                    inputs: inputs.clone(),
-                    labels: labels.clone(),
-                    eps,
-                },
-                target,
+            let problem = UapProblem {
+                plan: plan.clone(),
+                inputs: inputs.clone(),
+                labels: labels.clone(),
+                eps,
             };
-            let dp = verify_targeted_uap(&problem, Method::DeepPolyIndividual, &config);
-            let rv = verify_targeted_uap(&problem, Method::Raven, &config);
+            let forced = |method| {
+                verify_targeted_uap_all(&problem, &[target], method, &config)[0].max_forced
+            };
+            let (dp, rv) = (forced(Method::DeepPolyIndividual), forced(Method::Raven));
             vec![
                 training.name().to_string(),
                 format!("{eps}"),
                 format!("{target}"),
-                format!("{:.2}", dp.max_forced),
-                format!("{:.2}", rv.max_forced),
+                format!("{dp:.2}"),
+                format!("{rv:.2}"),
             ]
         });
         for row in rows {

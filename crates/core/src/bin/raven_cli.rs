@@ -24,8 +24,7 @@
 //! `result` field served by `raven-serve` for the same query.
 
 use raven::{
-    report, verify_monotonicity_certified_with_hooks, verify_monotonicity_with_hooks,
-    verify_uap_certified_with_hooks, verify_uap_with_hooks, Method, MonotonicityProblem,
+    report, verify_monotonicity_with_hooks, verify_uap_with_hooks, Method, MonotonicityProblem,
     PairStrategy, RavenConfig, RunHooks, TierMillis, UapProblem,
 };
 use raven_json::Json;
@@ -438,16 +437,12 @@ fn cmd_verify_uap(flags: &Flags) -> Result<Outcome, CliError> {
         eps,
     };
     let hooks = parse_hooks(flags)?;
-    let res = match flags.get("certificate-out") {
-        None => verify_uap_with_hooks(&problem, method, &config, &hooks)
-            .expect("deadline-only hooks never cancel"),
-        Some(path) => {
-            let (res, cert) = verify_uap_certified_with_hooks(&problem, method, &config, &hooks)
-                .expect("deadline-only hooks never cancel");
-            write_certificate(path, cert)?;
-            res
-        }
-    };
+    let cert_path = flags.get("certificate-out");
+    let (res, cert) = verify_uap_with_hooks(&problem, method, &config, &hooks, cert_path.is_some())
+        .expect("deadline-only hooks never cancel");
+    if let Some(path) = cert_path {
+        write_certificate(path, cert)?;
+    }
     if flags.has("json") {
         let verdict = report::uap_verdict_json(problem.k(), problem.eps, &res);
         println!(
@@ -527,17 +522,13 @@ fn cmd_verify_mono(flags: &Flags) -> Result<Outcome, CliError> {
         increasing: !flags.has("decreasing"),
     };
     let hooks = parse_hooks(flags)?;
-    let res = match flags.get("certificate-out") {
-        None => verify_monotonicity_with_hooks(&problem, method, &config, &hooks)
-            .expect("deadline-only hooks never cancel"),
-        Some(path) => {
-            let (res, cert) =
-                verify_monotonicity_certified_with_hooks(&problem, method, &config, &hooks)
-                    .expect("deadline-only hooks never cancel");
-            write_certificate(path, cert)?;
-            res
-        }
-    };
+    let cert_path = flags.get("certificate-out");
+    let (res, cert) =
+        verify_monotonicity_with_hooks(&problem, method, &config, &hooks, cert_path.is_some())
+            .expect("deadline-only hooks never cancel");
+    if let Some(path) = cert_path {
+        write_certificate(path, cert)?;
+    }
     if flags.has("json") {
         let verdict = report::mono_verdict_json(&problem, &res);
         println!(

@@ -69,7 +69,7 @@ impl CertSink {
     /// Records every activation relaxation the given DeepPoly analyses
     /// used, in the checker's vocabulary. Sigmoid/tanh neurons are included
     /// too — the checker tallies them as trusted rather than replayed.
-    pub(crate) fn record_analyses(&mut self, plan: &AnalysisPlan, analyses: &[&DeepPolyAnalysis]) {
+    pub(crate) fn record_analyses(&mut self, plan: &AnalysisPlan, analyses: &[DeepPolyAnalysis]) {
         let mut neurons = Vec::new();
         for dp in analyses {
             for (kind, lo, hi, r) in dp.relaxation_records(plan) {

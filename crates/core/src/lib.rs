@@ -13,10 +13,19 @@
 //! * **monotonicity** ([`verify_monotonicity`]) — the network score is
 //!   non-decreasing (or non-increasing) in a designated input feature.
 //!
-//! Every property can be checked with four methods of increasing precision
-//! ([`Method`]): interval analysis, per-execution DeepPoly, the
-//! I/O-relational LP (shared perturbation, no difference tracking), and the
-//! full RaVeN verifier (difference tracking on execution pairs).
+//! Every property can be checked with five methods ([`Method`]): interval
+//! analysis, per-execution DeepZ and DeepPoly, the I/O-relational LP
+//! (shared perturbation, no difference tracking), and the full RaVeN
+//! verifier (difference tracking on execution pairs).
+//!
+//! The verifier surface is six functions: [`verify_uap`],
+//! [`verify_uap_with_hooks`] (cancellation, deadlines, tracing and an
+//! optional proof certificate), [`verify_uap_l1`] (an added ℓ1 budget on
+//! the shared perturbation), [`verify_targeted_uap_all`], and
+//! [`verify_monotonicity`] with [`verify_monotonicity_with_hooks`]. Every
+//! LP path among them builds its relaxation through one builder in
+//! [`relational`]: DeepPoly per execution, DiffPoly per tracked pair, and
+//! one LP over both.
 //!
 //! # Examples
 //!
@@ -49,7 +58,6 @@ pub mod margin;
 pub mod metrics;
 mod monotonicity;
 pub mod par;
-pub mod refine;
 pub mod relational;
 pub mod report;
 pub mod sweep;
@@ -59,14 +67,12 @@ mod uap;
 pub use config::{Method, PairStrategy, RavenConfig};
 pub use hooks::{Phase, RunHooks};
 pub use monotonicity::{
-    verify_monotonicity, verify_monotonicity_certified, verify_monotonicity_certified_with_hooks,
-    verify_monotonicity_with_hooks, MonotonicityProblem, MonotonicityResult,
+    verify_monotonicity, verify_monotonicity_with_hooks, MonotonicityProblem, MonotonicityResult,
 };
 pub use raven_check::Certificate;
 pub use relational::{InputCoord, OutputQuery, RelationalBound, RelationalProblem};
 pub use tier::{Tier, TierMillis};
 pub use uap::{
-    replay_uap_delta, verify_targeted_uap, verify_targeted_uap_all, verify_uap,
-    verify_uap_certified, verify_uap_certified_with_hooks, verify_uap_l1, verify_uap_with_hooks,
-    TargetedUapProblem, TargetedUapResult, UapProblem, UapResult,
+    replay_uap_delta, verify_targeted_uap_all, verify_uap, verify_uap_l1, verify_uap_with_hooks,
+    TargetedUapResult, UapProblem, UapResult,
 };

@@ -9,13 +9,13 @@
 
 use crate::certificate::CertSink;
 use crate::config::{Method, RavenConfig};
-use crate::encode::{encode, Expr};
+use crate::encode::Expr;
 use crate::hooks::{Phase, RunHooks};
 use crate::margin::{all_positive, box_margins, deeppoly_margins, zonotope_margins};
+use crate::relational::{relax, PairDelta, Relaxation};
 use crate::tier::{Tier, TierMillis};
 use raven_deeppoly::DeepPolyAnalysis;
-use raven_diffpoly::DiffPolyAnalysis;
-use raven_interval::{linf_ball, Interval};
+use raven_interval::Interval;
 use raven_lp::{
     BasisCache, Budget, Direction, LinExpr, LpError, LpProblem, Sense, SolveStatus, VarId,
 };
@@ -113,11 +113,13 @@ pub fn replay_uap_delta(
 /// shared perturbation satisfies `‖d‖∞ ≤ problem.eps` **and**
 /// `‖d‖₁ ≤ l1_budget`.
 ///
-/// The LP methods encode the ℓ1 constraint exactly with auxiliary
-/// absolute-value variables (`t_j ≥ ±d_j`, `Σ t_j ≤ budget`); the
-/// non-relational baselines cannot express it and soundly fall back to the
-/// ℓ∞ box — which is precisely the expressiveness gap of box-shaped input
-/// specifications that LP-based relational verification closes.
+/// Every method runs over the ℓ∞ box capped per dimension at
+/// `min(eps, l1_budget)`. The LP methods also encode the ℓ1 constraint
+/// exactly with auxiliary absolute-value variables (`t_j ≥ ±d_j`,
+/// `Σ t_j ≤ budget`); the non-relational baselines cannot express it, so
+/// the capped box is their sound over-approximation — which is precisely
+/// the expressiveness gap of box-shaped input specifications that LP-based
+/// relational verification closes.
 ///
 /// # Panics
 ///
@@ -130,26 +132,18 @@ pub fn verify_uap_l1(
     config: &RavenConfig,
 ) -> UapResult {
     assert!(l1_budget >= 0.0, "l1 budget must be non-negative");
-    // Per-dimension cap implied by the ℓ1 budget.
     let cap = problem.eps.min(l1_budget);
     let delta_box = vec![Interval::symmetric(cap); problem.plan.input_dim()];
-    match method {
-        Method::Box | Method::ZonotopeIndividual | Method::DeepPolyIndividual => {
-            // Box-shaped domains cannot express the ℓ1 coupling; the ℓ∞ box
-            // with the per-dimension cap is a sound over-approximation.
-            verify_uap_on_box(problem, &delta_box, method, config)
-        }
-        Method::IoLp | Method::Raven => verify_uap_with_extra(
-            problem,
-            &delta_box,
-            method,
-            config,
-            Some(l1_budget),
-            &RunHooks::default(),
-            None,
-        )
-        .expect("default hooks never cancel"),
-    }
+    verify_uap_with_extra(
+        problem,
+        &delta_box,
+        method,
+        config,
+        Some(l1_budget),
+        &RunHooks::default(),
+        None,
+    )
+    .expect("default hooks never cancel")
 }
 
 /// The input region of one execution: `z + delta_box` coordinatewise.
@@ -167,14 +161,24 @@ fn exec_box(z: &[f64], delta_box: &[Interval]) -> Vec<Interval> {
 /// Panics when inputs/labels lengths disagree, the batch is empty, or a
 /// label is out of range.
 pub fn verify_uap(problem: &UapProblem, method: Method, config: &RavenConfig) -> UapResult {
-    verify_uap_with_hooks(problem, method, config, &RunHooks::default())
+    verify_uap_with_hooks(problem, method, config, &RunHooks::default(), false)
         .expect("default hooks never cancel")
+        .0
 }
 
 /// [`verify_uap`] with cancellation/progress hooks threaded through every
-/// phase. Returns `None` when the run was cancelled at a phase boundary
-/// (an in-progress solve is never interrupted; no partial result is
+/// phase, and optionally a replayable proof certificate for the verdict.
+///
+/// Returns `None` when the run was cancelled at a phase boundary (an
+/// in-progress solve is never interrupted; no partial result is
 /// produced).
+///
+/// With `certify`, the run also emits LP/MILP dual evidence from a
+/// secondary certified solve matched to the verdict's tier, plus the
+/// per-neuron DeepPoly relaxation records (RaVeN method only — the I/O
+/// formulation discards its analyses). The certificate is `None` when it
+/// was not asked for or the run produced no certifiable evidence; the
+/// [`UapResult`] is byte-for-byte the same verdict either way.
 ///
 /// # Panics
 ///
@@ -184,45 +188,10 @@ pub fn verify_uap_with_hooks(
     method: Method,
     config: &RavenConfig,
     hooks: &RunHooks<'_>,
-) -> Option<UapResult> {
-    let delta_box = vec![Interval::symmetric(problem.eps); problem.plan.input_dim()];
-    verify_uap_with_extra(problem, &delta_box, method, config, None, hooks, None)
-}
-
-/// [`verify_uap`] that additionally emits a replayable proof certificate
-/// for the verdict: LP/MILP dual evidence from a secondary certified solve
-/// matched to the verdict's tier, plus the per-neuron DeepPoly relaxation
-/// records (RaVeN method only — the I/O formulation discards its analyses).
-/// The certificate is `None` when the run produced no certifiable
-/// evidence; the [`UapResult`] is byte-for-byte the same verdict the
-/// uncertified path computes.
-///
-/// # Panics
-///
-/// Panics on the same shape violations as [`verify_uap`].
-pub fn verify_uap_certified(
-    problem: &UapProblem,
-    method: Method,
-    config: &RavenConfig,
-) -> (UapResult, Option<raven_check::Certificate>) {
-    verify_uap_certified_with_hooks(problem, method, config, &RunHooks::default())
-        .expect("default hooks never cancel")
-}
-
-/// [`verify_uap_certified`] with cancellation/progress hooks. Returns
-/// `None` when the run was cancelled at a phase boundary.
-///
-/// # Panics
-///
-/// Panics on the same shape violations as [`verify_uap`].
-pub fn verify_uap_certified_with_hooks(
-    problem: &UapProblem,
-    method: Method,
-    config: &RavenConfig,
-    hooks: &RunHooks<'_>,
+    certify: bool,
 ) -> Option<(UapResult, Option<raven_check::Certificate>)> {
     let delta_box = vec![Interval::symmetric(problem.eps); problem.plan.input_dim()];
-    let mut sink = CertSink::default();
+    let mut sink = certify.then(CertSink::default);
     let res = verify_uap_with_extra(
         problem,
         &delta_box,
@@ -230,41 +199,36 @@ pub fn verify_uap_certified_with_hooks(
         config,
         None,
         hooks,
-        Some(&mut sink),
+        sink.as_mut(),
     )?;
-    let cert = sink.into_certificate("uap", res.tier, res.degraded);
+    let cert = sink.and_then(|s| s.into_certificate("uap", res.tier, res.degraded));
     Some((res, cert))
 }
 
-/// Verifies a UAP instance over an explicit shared-perturbation box
-/// (`problem.eps` is ignored; the box defines the threat model). Exposed
-/// through [`crate::refine::verify_uap_box`] and used by the input-splitting
-/// refinement.
-///
-/// # Panics
-///
-/// Panics on shape mismatches or out-of-range labels.
-pub(crate) fn verify_uap_on_box(
+/// Per-input individual margins of every execution over its box
+/// `z + delta_box`, in the chosen method's domain (DeepPoly for the LP
+/// methods, which use them to prune candidate classes). Each input is
+/// independent, so the batch fans out across the configured workers.
+fn individual_margins(
     problem: &UapProblem,
     delta_box: &[Interval],
     method: Method,
-    config: &RavenConfig,
-) -> UapResult {
-    verify_uap_with_extra(
-        problem,
-        delta_box,
-        method,
-        config,
-        None,
-        &RunHooks::default(),
-        None,
-    )
-    .expect("default hooks never cancel")
+    threads: usize,
+) -> Vec<Vec<f64>> {
+    crate::par::map_range(threads, problem.k(), |i| {
+        let ball = exec_box(&problem.inputs[i], delta_box);
+        let y = problem.labels[i];
+        match method {
+            Method::Box => box_margins(&problem.plan, &ball, y),
+            Method::ZonotopeIndividual => zonotope_margins(&problem.plan, &ball, y),
+            _ => deeppoly_margins(&problem.plan, &ball, y),
+        }
+    })
 }
 
-/// Shared implementation: optional exact ℓ1-budget rows on the LP paths,
-/// cancellation polled at phase boundaries, optional certificate
-/// collection.
+/// Shared implementation over an explicit shared-perturbation box:
+/// optional exact ℓ1-budget rows on the LP paths, cancellation polled at
+/// phase boundaries, optional certificate collection.
 #[allow(clippy::too_many_arguments)]
 fn verify_uap_with_extra(
     problem: &UapProblem,
@@ -297,18 +261,9 @@ fn verify_uap_with_extra(
     if !hooks.enter(Phase::Margins) {
         return None;
     }
-    // Per-input individual margins (used directly by the baselines, and for
-    // candidate-class pruning by the LP methods). Each input is independent,
-    // so the batch fans out across the configured worker threads.
-    let margins: Vec<Vec<f64>> = crate::par::map_range(config.threads, k, |i| {
-        let ball = exec_box(&problem.inputs[i], delta_box);
-        let y = problem.labels[i];
-        match method {
-            Method::Box => box_margins(&problem.plan, &ball, y),
-            Method::ZonotopeIndividual => zonotope_margins(&problem.plan, &ball, y),
-            _ => deeppoly_margins(&problem.plan, &ball, y),
-        }
-    });
+    // Individual margins are used directly by the baselines, and for
+    // candidate-class pruning by the LP methods.
+    let margins = individual_margins(problem, delta_box, method, config.threads);
     let individually_verified = margins.iter().filter(|m| all_positive(m)).count();
     let result = match method {
         Method::Box | Method::ZonotopeIndividual | Method::DeepPolyIndividual => {
@@ -331,18 +286,7 @@ fn verify_uap_with_extra(
                 },
             })
         }
-        Method::IoLp => verify_uap_io(
-            problem,
-            delta_box,
-            config,
-            &margins,
-            individually_verified,
-            start,
-            l1_budget,
-            hooks,
-            cert,
-        ),
-        Method::Raven => verify_uap_lp(
+        Method::IoLp | Method::Raven => verify_uap_spec(
             problem,
             delta_box,
             method,
@@ -361,16 +305,40 @@ fn verify_uap_with_extra(
     result
 }
 
-/// Adds `‖d‖₁ ≤ budget` rows: `t_j ≥ d_j`, `t_j ≥ −d_j`, `Σ t_j ≤ budget`.
-fn add_l1_budget(lp: &mut LpProblem, d_vars: &[VarId], budget: f64) {
-    let mut sum = LinExpr::new();
-    for &d in d_vars {
-        let t = lp.add_var(0.0, budget);
-        lp.add_constraint(LinExpr::new().term(1.0, t).term(-1.0, d), Sense::Ge, 0.0);
-        lp.add_constraint(LinExpr::new().term(1.0, t).term(1.0, d), Sense::Ge, 0.0);
-        sum.push(1.0, t);
+/// Adds one variable per coordinate of the shared perturbation `d` over
+/// `delta_box` and, with an ℓ1 budget, the rows `t_j ≥ d_j`, `t_j ≥ −d_j`,
+/// `Σ t_j ≤ budget`. Returns the `d` variables.
+fn add_perturbation(
+    lp: &mut LpProblem,
+    delta_box: &[Interval],
+    l1_budget: Option<f64>,
+) -> Vec<VarId> {
+    let d_vars: Vec<VarId> = delta_box
+        .iter()
+        .map(|d| lp.add_var(d.lo(), d.hi()))
+        .collect();
+    if let Some(budget) = l1_budget {
+        let mut sum = LinExpr::new();
+        for &d in &d_vars {
+            let t = lp.add_var(0.0, budget);
+            lp.add_constraint(LinExpr::new().term(1.0, t).term(-1.0, d), Sense::Ge, 0.0);
+            lp.add_constraint(LinExpr::new().term(1.0, t).term(1.0, d), Sense::Ge, 0.0);
+            sum.push(1.0, t);
+        }
+        lp.add_constraint(sum, Sense::Le, budget);
     }
-    lp.add_constraint(sum, Sense::Le, budget);
+    d_vars
+}
+
+/// A UAP counting spec assembled by one of the LP methods: maximize the
+/// number of misclassified executions over the shared perturbation `d`.
+struct UapSpec {
+    lp: LpProblem,
+    /// The shared-perturbation variables (the attack witness).
+    d_vars: Vec<VarId>,
+    /// The sum of the misclassification indicators; `None` when every
+    /// execution is individually robust, so no adversary is possible.
+    objective: Option<LinExpr>,
 }
 
 /// The "I/O formulation" baseline: each execution's margins are bounded by
@@ -379,32 +347,18 @@ fn add_l1_budget(lp: &mut LpProblem, d_vars: &[VarId], budget: f64) {
 /// This mirrors the prior-work baseline the paper compares against: strictly
 /// stronger than verifying every input individually, but blind to the
 /// cross-execution structure DiffPoly tracks layer by layer.
-#[allow(clippy::too_many_arguments)]
-fn verify_uap_io(
+fn io_spec(
     problem: &UapProblem,
     delta_box: &[Interval],
     config: &RavenConfig,
     margins: &[Vec<f64>],
-    individually_verified: usize,
-    start: Instant,
     l1_budget: Option<f64>,
-    hooks: &RunHooks<'_>,
-    cert: Option<&mut CertSink>,
-) -> Option<UapResult> {
-    if !hooks.enter(Phase::Analysis) {
-        return None;
-    }
+) -> UapSpec {
     let k = problem.k();
     let plan = &problem.plan;
     let out_dim = plan.output_dim();
     let mut lp = LpProblem::new();
-    let d_vars: Vec<VarId> = delta_box
-        .iter()
-        .map(|d| lp.add_var(d.lo(), d.hi()))
-        .collect();
-    if let Some(budget) = l1_budget {
-        add_l1_budget(&mut lp, &d_vars, budget);
-    }
+    let d_vars = add_perturbation(&mut lp, delta_box, l1_budget);
     // Candidate adversarial classes and symbolic input-level margin bounds
     // per execution. The per-execution DeepPoly back-substitutions dominate
     // this method's analysis cost and are independent, so they fan out
@@ -475,125 +429,34 @@ fn verify_uap_io(
         }
         lp.add_constraint(z_row, Sense::Le, 0.0);
     }
-    let lp_rows = lp.num_constraints();
-    let lp_vars = lp.num_vars();
-    if !any_indicator {
-        let millis = start.elapsed().as_secs_f64() * 1e3;
-        return Some(UapResult {
-            method: Method::IoLp,
-            worst_case_accuracy: 1.0,
-            worst_case_hamming: 0.0,
-            individually_verified,
-            solve_millis: millis,
-            lp_rows,
-            lp_vars,
-            exact: true,
-            counterexample_delta: None,
-            tier: Tier::Analysis,
-            degraded: false,
-            tier_millis: TierMillis {
-                analysis: millis,
-                ..TierMillis::default()
-            },
-        });
+    UapSpec {
+        lp,
+        d_vars,
+        objective: any_indicator.then_some(objective),
     }
-    if !hooks.enter(Phase::Solve) {
-        return None;
-    }
-    let analysis_millis = start.elapsed().as_secs_f64() * 1e3;
-    lp.set_objective(Direction::Maximize, objective);
-    let spec = solve_spec_with_witness(
-        &lp,
-        config,
-        &d_vars,
-        &hooks.lp_budget(),
-        &mut BasisCache::new(),
-    );
-    if hooks.cancelled() {
-        return None;
-    }
-    if let Some(sink) = cert {
-        sink.solve_lp(&lp, spec.tier, config, hooks);
-    }
-    // Executions without indicators are proven individually robust, so the
-    // adversary count can never exceed the union bound — this is also the
-    // sound answer the analysis tier falls back to on total exhaustion.
-    let max_misclassified = spec.bound.clamp(0.0, (k - individually_verified) as f64);
-    Some(UapResult {
-        method: Method::IoLp,
-        worst_case_accuracy: (k as f64 - max_misclassified) / k as f64,
-        worst_case_hamming: max_misclassified,
-        individually_verified,
-        solve_millis: start.elapsed().as_secs_f64() * 1e3,
-        lp_rows,
-        lp_vars,
-        exact: spec.exact,
-        counterexample_delta: spec.witness,
-        tier: spec.tier,
-        degraded: spec.degraded,
-        tier_millis: TierMillis {
-            analysis: analysis_millis,
-            lp: spec.lp_millis,
-            milp: spec.milp_millis,
-        },
-    })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn verify_uap_lp(
+/// The relational relaxation of a UAP batch: one LP variable per
+/// coordinate of the shared perturbation `d` (followed by the ℓ1 rows when
+/// the threat model has a budget), execution `i` at `z_i + d`, and
+/// DiffPoly on `pairs` with the exact input difference `z_a − z_b` (the
+/// shared `d` cancels). Returns the LP, the `d` variables and the
+/// relaxation, or `None` when the run is cancelled.
+fn uap_relaxation(
     problem: &UapProblem,
     delta_box: &[Interval],
-    method: Method,
-    config: &RavenConfig,
-    margins: &[Vec<f64>],
-    individually_verified: usize,
-    start: Instant,
+    pairs: &[(usize, usize)],
     l1_budget: Option<f64>,
+    threads: usize,
     hooks: &RunHooks<'_>,
-    mut cert: Option<&mut CertSink>,
-) -> Option<UapResult> {
-    let k = problem.k();
-    let plan = &problem.plan;
-    let out_dim = plan.output_dim();
-    if !hooks.enter(Phase::Analysis) {
-        return None;
-    }
-    // Per-execution DeepPoly analyses over the individual balls, fanned out
-    // across the configured worker threads.
-    let dps: Vec<DeepPolyAnalysis> = crate::par::map(config.threads, &problem.inputs, |z| {
-        DeepPolyAnalysis::run(plan, &exec_box(z, delta_box))
-    });
-    if let Some(sink) = cert.as_deref_mut() {
-        let refs: Vec<&DeepPolyAnalysis> = dps.iter().collect();
-        sink.record_analyses(plan, &refs);
-    }
-    if !hooks.enter(Phase::DiffPoly) {
-        return None;
-    }
-    // DiffPoly pairs per the configured strategy; each pair only reads the
-    // already-computed per-execution analyses, so pairs are independent.
-    let pair_indices = config.pairs.pairs(k);
-    let diffs: Vec<(usize, usize, DiffPolyAnalysis)> =
-        crate::par::map(config.threads, &pair_indices, |&(a, b)| {
-            let delta: Vec<Interval> = problem.inputs[a]
-                .iter()
-                .zip(&problem.inputs[b])
-                .map(|(&za, &zb)| Interval::point(za - zb))
-                .collect();
-            (a, b, DiffPolyAnalysis::run(plan, &dps[a], &dps[b], &delta))
-        });
-    if !hooks.enter(Phase::Encode) {
-        return None;
-    }
-    // Build the LP.
+) -> Option<(LpProblem, Vec<VarId>, Relaxation)> {
     let mut lp = LpProblem::new();
-    let d_vars: Vec<VarId> = delta_box
+    let d_vars = add_perturbation(&mut lp, delta_box, l1_budget);
+    let boxes: Vec<Vec<Interval>> = problem
+        .inputs
         .iter()
-        .map(|d| lp.add_var(d.lo(), d.hi()))
+        .map(|z| exec_box(z, delta_box))
         .collect();
-    if let Some(budget) = l1_budget {
-        add_l1_budget(&mut lp, &d_vars, budget);
-    }
     let input_exprs: Vec<Vec<Expr>> = problem
         .inputs
         .iter()
@@ -604,10 +467,56 @@ fn verify_uap_lp(
                 .collect()
         })
         .collect();
-    let dp_refs: Vec<&DeepPolyAnalysis> = dps.iter().collect();
-    let pair_refs: Vec<(usize, usize, &DiffPolyAnalysis)> =
-        diffs.iter().map(|(a, b, d)| (*a, *b, d)).collect();
-    let encoding = encode(&mut lp, plan, &input_exprs, &dp_refs, &pair_refs);
+    let pair_deltas: Vec<PairDelta> = pairs
+        .iter()
+        .map(|&(a, b)| {
+            let delta = problem.inputs[a]
+                .iter()
+                .zip(&problem.inputs[b])
+                .map(|(&za, &zb)| Interval::point(za - zb))
+                .collect();
+            (a, b, delta)
+        })
+        .collect();
+    let relaxation = relax(
+        &mut lp,
+        &problem.plan,
+        &boxes,
+        &input_exprs,
+        &pair_deltas,
+        threads,
+        hooks,
+    )?;
+    Some((lp, d_vars, relaxation))
+}
+
+/// The RaVeN formulation: margins read off the relational relaxation's
+/// output variables, so DiffPoly's cross-execution rows couple the
+/// executions layer by layer. Returns `None` when cancelled.
+fn raven_spec(
+    problem: &UapProblem,
+    delta_box: &[Interval],
+    config: &RavenConfig,
+    margins: &[Vec<f64>],
+    l1_budget: Option<f64>,
+    hooks: &RunHooks<'_>,
+    cert: Option<&mut CertSink>,
+) -> Option<UapSpec> {
+    let k = problem.k();
+    let plan = &problem.plan;
+    let out_dim = plan.output_dim();
+    let (mut lp, d_vars, relaxation) = uap_relaxation(
+        problem,
+        delta_box,
+        &config.pairs.pairs(k),
+        l1_budget,
+        config.threads,
+        hooks,
+    )?;
+    let dps = &relaxation.analyses;
+    if let Some(sink) = cert {
+        sink.record_analyses(plan, dps);
+    }
     // Spec: maximize the number of misclassified executions.
     let mut objective = LinExpr::new();
     let mut any_indicator = false;
@@ -633,7 +542,7 @@ fn verify_uap_lp(
         any_indicator = true;
         // z_i ≤ Σ_c w_ic, with w_ic = 1 forcing o_c ≥ o_y.
         let mut z_row = LinExpr::new().term(1.0, z_i);
-        let outs = &encoding.execs[i].outputs;
+        let outs = &relaxation.encoding.execs[i].outputs;
         for &c in &candidates {
             let w_ic = lp.add_binary_var();
             z_row.push(-1.0, w_ic);
@@ -647,10 +556,53 @@ fn verify_uap_lp(
         }
         lp.add_constraint(z_row, Sense::Le, 0.0);
     }
+    Some(UapSpec {
+        lp,
+        d_vars,
+        objective: any_indicator.then_some(objective),
+    })
+}
+
+/// The LP methods: assembles the counting spec, then solves it down the
+/// degradation ladder (anytime MILP bound → LP relaxation → union bound);
+/// every rung only over-counts misclassifications, so the result stays
+/// sound.
+#[allow(clippy::too_many_arguments)]
+fn verify_uap_spec(
+    problem: &UapProblem,
+    delta_box: &[Interval],
+    method: Method,
+    config: &RavenConfig,
+    margins: &[Vec<f64>],
+    individually_verified: usize,
+    start: Instant,
+    l1_budget: Option<f64>,
+    hooks: &RunHooks<'_>,
+    mut cert: Option<&mut CertSink>,
+) -> Option<UapResult> {
+    if !hooks.enter(Phase::Analysis) {
+        return None;
+    }
+    let UapSpec {
+        mut lp,
+        d_vars,
+        objective,
+    } = match method {
+        Method::IoLp => io_spec(problem, delta_box, config, margins, l1_budget),
+        _ => raven_spec(
+            problem,
+            delta_box,
+            config,
+            margins,
+            l1_budget,
+            hooks,
+            cert.as_deref_mut(),
+        )?,
+    };
+    let k = problem.k();
     let lp_rows = lp.num_constraints();
     let lp_vars = lp.num_vars();
-    if !any_indicator {
-        // Everything individually robust; no adversary possible.
+    let Some(objective) = objective else {
         let millis = start.elapsed().as_secs_f64() * 1e3;
         return Some(UapResult {
             method,
@@ -669,15 +621,12 @@ fn verify_uap_lp(
                 ..TierMillis::default()
             },
         });
-    }
+    };
     if !hooks.enter(Phase::Solve) {
         return None;
     }
     let analysis_millis = start.elapsed().as_secs_f64() * 1e3;
     lp.set_objective(Direction::Maximize, objective);
-    // Solve: MILP when configured, degrading down the ladder (anytime MILP
-    // bound → LP relaxation → union bound) when the budget runs out; every
-    // rung only over-counts misclassifications, so the result stays sound.
     let spec = solve_spec_with_witness(
         &lp,
         config,
@@ -691,6 +640,9 @@ fn verify_uap_lp(
     if let Some(sink) = cert {
         sink.solve_lp(&lp, spec.tier, config, hooks);
     }
+    // Executions without indicators are proven individually robust, so the
+    // adversary count can never exceed the union bound — this is also the
+    // sound answer the analysis tier falls back to on total exhaustion.
     let max_misclassified = spec.bound.clamp(0.0, (k - individually_verified) as f64);
     Some(UapResult {
         method,
@@ -712,17 +664,6 @@ fn verify_uap_lp(
     })
 }
 
-/// A targeted-UAP verification instance: the adversary tries to force as
-/// many executions as possible into the designated `target` class with one
-/// shared perturbation.
-#[derive(Debug, Clone)]
-pub struct TargetedUapProblem {
-    /// The underlying untargeted instance (inputs, labels, eps, plan).
-    pub base: UapProblem,
-    /// The class the adversary wants everything classified as.
-    pub target: usize,
-}
-
 /// Outcome of a targeted UAP verification run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TargetedUapResult {
@@ -738,37 +679,25 @@ pub struct TargetedUapResult {
     pub exact: bool,
 }
 
-/// Verifies a targeted UAP instance.
+/// Verifies one targeted UAP instance per entry of `targets`: the
+/// adversary tries to force as many executions of `base` as possible into
+/// the target class with one shared perturbation. Pass `&[target]` for a
+/// single target.
 ///
 /// Inputs already labelled `target` are excluded from the count (forcing
 /// them is vacuous). Only the relational methods are meaningful here;
 /// non-relational baselines are mapped to per-execution margin checks
 /// against the target class.
 ///
-/// # Panics
-///
-/// Panics on inconsistent shapes or an out-of-range target class.
-pub fn verify_targeted_uap(
-    problem: &TargetedUapProblem,
-    method: Method,
-    config: &RavenConfig,
-) -> TargetedUapResult {
-    verify_targeted_uap_all(&problem.base, &[problem.target], method, config)
-        .pop()
-        .expect("one target in, one result out")
-}
-
-/// Verifies one targeted UAP instance per entry of `targets`, sharing all
-/// target-independent work across them: the per-input margin analyses, the
-/// DeepPoly/DiffPoly passes, and the relational network encoding are
-/// computed once; each target then appends only its own indicator
-/// variables and rows to a clone of the shared relaxation. The per-label
-/// MILPs also share one basis cache, so each solve after the first
-/// warm-starts from the previous root basis (the relaxation prefix is
-/// identical across targets).
-///
-/// Results are returned in `targets` order and are identical to calling
-/// [`verify_targeted_uap`] per target (basis reuse is a pure accelerator).
+/// All target-independent work is shared across the targets: the
+/// per-input margin analyses, the DeepPoly/DiffPoly passes, and the
+/// relational network encoding are computed once; each target then appends
+/// only its own indicator variables and rows to a clone of the shared
+/// relaxation. The per-label MILPs also share one basis cache, so each
+/// solve after the first warm-starts from the previous root basis (the
+/// relaxation prefix is identical across targets). Results are returned
+/// in `targets` order and are identical to one call per target (basis
+/// reuse is a pure accelerator).
 ///
 /// # Panics
 ///
@@ -785,20 +714,14 @@ pub fn verify_targeted_uap_all(
     }
     assert_eq!(base.inputs.len(), base.labels.len(), "length mismatch");
     let start = Instant::now();
+    let hooks = RunHooks::default();
+    let _phase_scope = crate::metrics::PhaseScope::new(&hooks);
+    hooks.enter(Phase::Margins);
+    let delta_box = vec![Interval::symmetric(base.eps); base.plan.input_dim()];
     // Per-input margins against *all* other classes, computed once: the
     // analyses are target-independent, only the row lookup differs per
-    // target. Independent per input, so they fan out across workers; the
-    // vulnerable lists are assembled from the ordered results, so they are
-    // identical for any thread count.
-    let margins: Vec<Vec<f64>> = crate::par::map_range(config.threads, base.inputs.len(), |i| {
-        let y = base.labels[i];
-        let ball = linf_ball(&base.inputs[i], base.eps, f64::NEG_INFINITY, f64::INFINITY);
-        match method {
-            Method::Box => box_margins(&base.plan, &ball, y),
-            Method::ZonotopeIndividual => zonotope_margins(&base.plan, &ball, y),
-            _ => deeppoly_margins(&base.plan, &ball, y),
-        }
-    });
+    // target.
+    let margins = individual_margins(base, &delta_box, method, config.threads);
     // Executions that could possibly be forced into `target`: margin to the
     // target class not provably positive (inputs already labelled `target`
     // are excluded — forcing them is vacuous).
@@ -831,45 +754,15 @@ pub fn verify_targeted_uap_all(
     }
     // Relational LP: shared perturbation + per-exec encodings, built once;
     // indicator variables are per target.
-    let dps: Vec<DeepPolyAnalysis> = crate::par::map(config.threads, &base.inputs, |z| {
-        let ball = linf_ball(z, base.eps, f64::NEG_INFINITY, f64::INFINITY);
-        DeepPolyAnalysis::run(&base.plan, &ball)
-    });
-    let pair_indices = match method {
+    hooks.enter(Phase::Analysis);
+    let pairs = match method {
         Method::Raven => config.pairs.pairs(base.k()),
         _ => Vec::new(),
     };
-    let diffs: Vec<(usize, usize, DiffPolyAnalysis)> =
-        crate::par::map(config.threads, &pair_indices, |&(a, b)| {
-            let delta: Vec<Interval> = base.inputs[a]
-                .iter()
-                .zip(&base.inputs[b])
-                .map(|(&za, &zb)| Interval::point(za - zb))
-                .collect();
-            (
-                a,
-                b,
-                DiffPolyAnalysis::run(&base.plan, &dps[a], &dps[b], &delta),
-            )
-        });
-    let mut shared = LpProblem::new();
-    let d_vars: Vec<VarId> = (0..base.plan.input_dim())
-        .map(|_| shared.add_var(-base.eps, base.eps))
-        .collect();
-    let input_exprs: Vec<Vec<Expr>> = base
-        .inputs
-        .iter()
-        .map(|z| {
-            z.iter()
-                .zip(&d_vars)
-                .map(|(&zj, &dj)| Expr::constant(zj).plus_var(1.0, dj))
-                .collect()
-        })
-        .collect();
-    let dp_refs: Vec<&DeepPolyAnalysis> = dps.iter().collect();
-    let pair_refs: Vec<(usize, usize, &DiffPolyAnalysis)> =
-        diffs.iter().map(|(a, b, d)| (*a, *b, d)).collect();
-    let encoding = encode(&mut shared, &base.plan, &input_exprs, &dp_refs, &pair_refs);
+    let (shared, _, relaxation) =
+        uap_relaxation(base, &delta_box, &pairs, None, config.threads, &hooks)
+            .expect("default hooks never cancel");
+    hooks.enter(Phase::Solve);
     // One basis cache across every per-label MILP: the shared relaxation is
     // a common prefix of each target's problem, so a root basis from one
     // target prefix-extends into the next (stale bases cold-start).
@@ -890,12 +783,12 @@ pub fn verify_targeted_uap_all(
             let mut objective = LinExpr::new();
             for &i in &vulnerable {
                 let y = base.labels[i];
-                let outs = &encoding.execs[i].outputs;
+                let outs = &relaxation.encoding.execs[i].outputs;
                 let z_i = lp.add_binary_var();
                 objective.push(1.0, z_i);
                 // z = 1 requires o_target ≥ o_y.
-                let big_m =
-                    (dps[i].output()[y].hi() - dps[i].output()[target].lo()).max(0.0) + 1e-6;
+                let dp = &relaxation.analyses[i];
+                let big_m = (dp.output()[y].hi() - dp.output()[target].lo()).max(0.0) + 1e-6;
                 let row = LinExpr::new()
                     .term(1.0, outs[y])
                     .term(-1.0, outs[target])
@@ -1158,12 +1051,11 @@ mod tests {
     fn targeted_uap_is_bounded_by_vulnerable_count() {
         let (problem, _) = trained_problem(0.1, 3);
         for target in 0..3 {
-            let tp = TargetedUapProblem {
-                base: problem.clone(),
-                target,
-            };
-            let dp = verify_targeted_uap(&tp, Method::DeepPolyIndividual, &RavenConfig::default());
-            let rv = verify_targeted_uap(&tp, Method::Raven, &RavenConfig::default());
+            let config = RavenConfig::default();
+            let dp =
+                &verify_targeted_uap_all(&problem, &[target], Method::DeepPolyIndividual, &config)
+                    [0];
+            let rv = &verify_targeted_uap_all(&problem, &[target], Method::Raven, &config)[0];
             // The relational bound can only be tighter (smaller).
             assert!(
                 rv.max_forced <= dp.max_forced + 1e-9,
@@ -1178,11 +1070,8 @@ mod tests {
     #[test]
     fn targeted_uap_tiny_eps_forces_nothing() {
         let (problem, _) = trained_problem(1e-6, 3);
-        let tp = TargetedUapProblem {
-            base: problem,
-            target: 0,
-        };
-        let rv = verify_targeted_uap(&tp, Method::Raven, &RavenConfig::default());
+        let rv =
+            &verify_targeted_uap_all(&problem, &[0], Method::Raven, &RavenConfig::default())[0];
         assert_eq!(rv.max_forced, 0.0);
         assert!(rv.exact);
     }
@@ -1253,7 +1142,7 @@ mod tests {
         // A pre-set cancel flag stops the run before any work.
         let cancel = AtomicBool::new(true);
         let hooks = RunHooks::default().with_cancel(&cancel);
-        assert!(verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks).is_none());
+        assert!(verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks, false).is_none());
         // Cancelling after the margins phase stops before the solve.
         let cancel = AtomicBool::new(false);
         let seen: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
@@ -1266,12 +1155,18 @@ mod tests {
         let hooks = RunHooks::default()
             .with_cancel(&cancel)
             .with_progress(&observer);
-        assert!(verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks).is_none());
+        assert!(verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks, false).is_none());
         assert_eq!(*seen.lock().unwrap(), vec!["margins", "analysis"]);
         // Unset hooks reproduce the plain result exactly.
         let plain = verify_uap(&problem, Method::Raven, &config);
-        let hooked =
-            verify_uap_with_hooks(&problem, Method::Raven, &config, &RunHooks::default()).unwrap();
+        let (hooked, _) = verify_uap_with_hooks(
+            &problem,
+            Method::Raven,
+            &config,
+            &RunHooks::default(),
+            false,
+        )
+        .unwrap();
         assert_eq!(plain.worst_case_accuracy, hooked.worst_case_accuracy);
         assert_eq!(plain.counterexample_delta, hooked.counterexample_delta);
     }
@@ -1353,14 +1248,7 @@ mod tests {
         let all = verify_targeted_uap_all(&problem, &[0, 1, 2], Method::Raven, &config);
         assert_eq!(all.len(), 3);
         for (target, batched) in all.iter().enumerate() {
-            let single = verify_targeted_uap(
-                &TargetedUapProblem {
-                    base: problem.clone(),
-                    target,
-                },
-                Method::Raven,
-                &config,
-            );
+            let single = &verify_targeted_uap_all(&problem, &[target], Method::Raven, &config)[0];
             assert_eq!(batched.method, single.method);
             assert_eq!(batched.exact, single.exact, "target {target}");
             assert!(

@@ -74,8 +74,15 @@ fn degraded_uap_verdict_is_sound_against_enumeration() {
     let config = RavenConfig::default();
 
     // Unlimited run: the reference exact answer.
-    let exact = verify_uap_with_hooks(&problem, Method::Raven, &config, &RunHooks::default())
-        .expect("no cancellation");
+    let exact = verify_uap_with_hooks(
+        &problem,
+        Method::Raven,
+        &config,
+        &RunHooks::default(),
+        false,
+    )
+    .expect("no cancellation")
+    .0;
     assert!(!exact.degraded);
     assert!(
         exact.worst_case_accuracy <= empirical + 1e-9,
@@ -87,8 +94,9 @@ fn degraded_uap_verdict_is_sound_against_enumeration() {
     // Already-expired deadline: degrades at the first budget checkpoint,
     // identically on every machine.
     let hooks = RunHooks::default().with_deadline(Instant::now() - Duration::from_millis(1));
-    let degraded =
-        verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks).expect("no cancellation");
+    let degraded = verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks, false)
+        .expect("no cancellation")
+        .0;
     assert!(degraded.degraded, "expired deadline must degrade");
     assert_eq!(degraded.tier, Tier::Analysis);
     assert!(
@@ -104,8 +112,9 @@ fn degraded_uap_verdict_is_sound_against_enumeration() {
     // at whatever ladder rung it reached; the verdict must stay sound.
     raven_lp::chaos::set_pivot_stall_micros(2_000);
     let hooks = RunHooks::default().with_deadline_in(Duration::from_millis(100));
-    let stalled =
-        verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks).expect("no cancellation");
+    let stalled = verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks, false)
+        .expect("no cancellation")
+        .0;
     raven_lp::chaos::clear();
     assert!(
         stalled.worst_case_accuracy <= empirical + 1e-9,
@@ -125,8 +134,9 @@ fn degraded_verdicts_are_identical_across_thread_counts() {
             ..RavenConfig::default()
         };
         let hooks = RunHooks::default().with_deadline(Instant::now() - Duration::from_millis(1));
-        let res = verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks)
-            .expect("no cancellation");
+        let res = verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks, false)
+            .expect("no cancellation")
+            .0;
         assert!(res.degraded);
         report::uap_verdict_json(problem.k(), problem.eps, &res).to_string()
     };
@@ -154,12 +164,19 @@ fn degraded_monotonicity_verdict_is_weaker_but_sound() {
         increasing: true,
     };
     let config = RavenConfig::default();
-    let exact =
-        verify_monotonicity_with_hooks(&problem, Method::Raven, &config, &RunHooks::default())
-            .expect("no cancellation");
+    let exact = verify_monotonicity_with_hooks(
+        &problem,
+        Method::Raven,
+        &config,
+        &RunHooks::default(),
+        false,
+    )
+    .expect("no cancellation")
+    .0;
     let hooks = RunHooks::default().with_deadline(Instant::now() - Duration::from_millis(1));
-    let degraded = verify_monotonicity_with_hooks(&problem, Method::Raven, &config, &hooks)
-        .expect("no cancellation");
+    let degraded = verify_monotonicity_with_hooks(&problem, Method::Raven, &config, &hooks, false)
+        .expect("no cancellation")
+        .0;
     assert!(degraded.degraded);
     assert_eq!(degraded.tier, Tier::Analysis);
     // The fallback bound is sound, therefore never above the LP bound.
@@ -178,7 +195,7 @@ fn deadline_bounded_run_returns_promptly_under_stall() {
     raven_lp::chaos::set_pivot_stall_micros(2_000);
     let start = Instant::now();
     let hooks = RunHooks::default().with_deadline_in(Duration::from_millis(150));
-    let res = verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks);
+    let res = verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks, false);
     let elapsed = start.elapsed();
     raven_lp::chaos::clear();
     assert!(res.is_some(), "deadline-only hooks never cancel");

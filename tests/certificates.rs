@@ -3,7 +3,7 @@
 //! round-trip through emission and replay.
 
 use raven::{
-    verify_monotonicity_certified, verify_uap, verify_uap_certified, Method, MonotonicityProblem,
+    verify_monotonicity_with_hooks, verify_uap, verify_uap_with_hooks, Method, MonotonicityProblem,
     RavenConfig, RunHooks, UapProblem,
 };
 use raven_check::{check_certificate, CheckError};
@@ -37,7 +37,9 @@ fn uap_milp_certificate_replays_and_verdict_is_unchanged() {
     let problem = uap_problem(0.08);
     let config = RavenConfig::default();
     let plain = verify_uap(&problem, Method::Raven, &config);
-    let (certified, cert) = verify_uap_certified(&problem, Method::Raven, &config);
+    let (certified, cert) =
+        verify_uap_with_hooks(&problem, Method::Raven, &config, &RunHooks::default(), true)
+            .unwrap();
     // The certified path must not perturb the verdict.
     assert_eq!(plain.worst_case_accuracy, certified.worst_case_accuracy);
     assert_eq!(plain.tier, certified.tier);
@@ -59,7 +61,8 @@ fn uap_io_lp_certificate_replays() {
         spec_milp: false,
         ..RavenConfig::default()
     };
-    let (res, cert) = verify_uap_certified(&problem, Method::IoLp, &config);
+    let (res, cert) =
+        verify_uap_with_hooks(&problem, Method::IoLp, &config, &RunHooks::default(), true).unwrap();
     // The I/O formulation discards its margin-plan analyses, so the
     // certificate is LP-only — present whenever an LP actually solved.
     if res.tier == raven::Tier::Analysis {
@@ -79,9 +82,8 @@ fn degraded_analysis_tier_certificate_round_trips() {
     let problem = uap_problem(0.3);
     let config = RavenConfig::default();
     let hooks = RunHooks::default().with_deadline_in(std::time::Duration::ZERO);
-    let (res, cert) =
-        raven::verify_uap_certified_with_hooks(&problem, Method::Raven, &config, &hooks)
-            .expect("deadline expiry degrades, it does not cancel");
+    let (res, cert) = verify_uap_with_hooks(&problem, Method::Raven, &config, &hooks, true)
+        .expect("deadline expiry degrades, it does not cancel");
     assert_eq!(res.tier, raven::Tier::Analysis);
     assert!(res.degraded);
     let cert = cert.expect("analysis-tier raven verdict still certifies its relaxations");
@@ -113,8 +115,14 @@ fn monotonicity_certificate_replays() {
         output_weights: vec![1.0, -1.0],
         increasing: true,
     };
-    let (res, cert) =
-        verify_monotonicity_certified(&problem, Method::Raven, &RavenConfig::default());
+    let (res, cert) = verify_monotonicity_with_hooks(
+        &problem,
+        Method::Raven,
+        &RavenConfig::default(),
+        &RunHooks::default(),
+        true,
+    )
+    .unwrap();
     assert!(res.verified);
     let cert = cert.expect("monotonicity raven run must emit a certificate");
     assert_eq!(cert.kind, "monotonicity");
@@ -128,7 +136,14 @@ fn monotonicity_certificate_replays() {
 #[test]
 fn tampered_certificate_json_is_rejected() {
     let problem = uap_problem(0.08);
-    let (_, cert) = verify_uap_certified(&problem, Method::Raven, &RavenConfig::default());
+    let (_, cert) = verify_uap_with_hooks(
+        &problem,
+        Method::Raven,
+        &RavenConfig::default(),
+        &RunHooks::default(),
+        true,
+    )
+    .unwrap();
     let cert = cert.unwrap();
     // Tamper at the JSON level, the way an untrusted server would.
     let json = cert.to_json().to_string();

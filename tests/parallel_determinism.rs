@@ -7,8 +7,7 @@
 use raven::{
     relational::{solve, OutputQuery, RelationalProblem},
     sweep::uap_sweep,
-    verify_targeted_uap, verify_uap, Method, RavenConfig, TargetedUapProblem, UapProblem,
-    UapResult,
+    verify_targeted_uap_all, verify_uap, Method, RavenConfig, UapProblem, UapResult,
 };
 use raven_interval::Interval;
 use std::path::Path;
@@ -99,13 +98,9 @@ fn all_methods_bit_identical_across_thread_counts_on_golden_model() {
 fn targeted_uap_bit_identical_across_thread_counts() {
     let base = golden_problem(0.02);
     for target in 0..2 {
-        let tp = TargetedUapProblem {
-            base: base.clone(),
-            target,
-        };
         for method in [Method::DeepPolyIndividual, Method::Raven] {
-            let seq = verify_targeted_uap(&tp, method, &config(1));
-            let par = verify_targeted_uap(&tp, method, &config(4));
+            let seq = &verify_targeted_uap_all(&base, &[target], method, &config(1))[0];
+            let par = &verify_targeted_uap_all(&base, &[target], method, &config(4))[0];
             assert_eq!(
                 seq.max_forced.to_bits(),
                 par.max_forced.to_bits(),

@@ -3,7 +3,7 @@
 //! Phase timing rides on [`RunHooks`](crate::RunHooks): `enter(phase)`
 //! closes the previous phase's span on the calling thread and opens the
 //! next, so the existing phase boundaries double as span boundaries with
-//! no extra call sites. A [`PhaseScope`] guard at the top of each verify
+//! no extra call sites. A `PhaseScope` guard at the top of each verify
 //! entry point closes the final phase when the run ends. Everything here
 //! is observe-only; see `raven-obs` for the determinism contract.
 

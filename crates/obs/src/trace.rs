@@ -113,8 +113,8 @@ thread_local! {
 
 /// Allocates a ring buffer for a trace and returns the context to install.
 ///
-/// If [`MAX_LIVE_TRACES`] collections are already live the context comes
-/// back unbuffered (spans still tag JSONL lines, nothing is retained).
+/// If `MAX_LIVE_TRACES` (1024) collections are already live the context
+/// comes back unbuffered (spans still tag JSONL lines, nothing is retained).
 pub fn begin_trace(trace_id: u128, parent_span: u64) -> TraceCtx {
     let mut map = buffers().lock().unwrap_or_else(|e| e.into_inner());
     let key = if map.len() >= MAX_LIVE_TRACES {

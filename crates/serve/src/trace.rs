@@ -5,7 +5,7 @@
 //! The flow per traced job: the API mints a [`raven_obs::TraceCtx`] at
 //! admission (honoring an incoming `traceparent` header) and hangs it off
 //! the job's `JobMeta`; the queue worker installs it on its thread for the
-//! job's duration; [`JobTrace`] — opened inside the job closure — snapshots
+//! job's duration; `JobTrace` — opened inside the job closure — snapshots
 //! the solver counters at start, drains the trace's ring buffer at end,
 //! synthesizes the request root span, asks the [`raven_obs::TailSampler`]
 //! whether to keep the trace, and injects the trace id plus the per-job

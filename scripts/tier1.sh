@@ -12,6 +12,8 @@ cargo test -q
 cargo test -p raven-serve --features chaos -q
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
+# Public docs must not link to private or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 scripts/check_metrics.sh
 # Solver-work regression gate: rerun the fixed obs workload and fail on a
 # >20% total-pivot regression vs the committed baseline. The committed

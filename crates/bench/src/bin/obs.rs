@@ -43,6 +43,7 @@ fn counters() -> Vec<(&'static str, &'static Counter)> {
         ("simplex_pivots", &lp_m::SIMPLEX_PIVOTS),
         ("lp_dual_pivots", &lp_m::LP_DUAL_PIVOTS),
         ("lp_warm_starts", &lp_m::LP_WARM_STARTS),
+        ("lp_refactorizations", &lp_m::LP_REFACTORIZATIONS),
         ("lp_solves", &lp_m::LP_SOLVES),
         ("presolve_rows_removed", &lp_m::PRESOLVE_ROWS_REMOVED),
         (

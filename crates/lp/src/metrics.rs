@@ -27,6 +27,9 @@ pub static LP_WARM_STARTS: Counter = Counter::new();
 /// Dual-simplex pivot iterations (warm-started solves only; cold-start
 /// pivots are counted by `SIMPLEX_PIVOTS`).
 pub static LP_DUAL_PIVOTS: Counter = Counter::new();
+/// Basis inverses rebuilt from scratch (every warm-start seed plus the
+/// periodic refactorization of long solves).
+pub static LP_REFACTORIZATIONS: Counter = Counter::new();
 /// Branch-&-bound nodes whose relaxation was solved.
 pub static MILP_NODES: Counter = Counter::new();
 /// Nodes discarded without branching (empty domain, infeasible
@@ -39,7 +42,7 @@ pub static MILP_INCUMBENT_UPDATES: Counter = Counter::new();
 pub static MILP_BUDGET_EXHAUSTED: Counter = Counter::new();
 
 /// Exposition table for this crate, in stable scrape order.
-pub static DESCS: [Desc; 12] = [
+pub static DESCS: [Desc; 13] = [
     Desc {
         name: "raven_lp_simplex_pivots_total",
         help: "Simplex pivot iterations across all LP solves.",
@@ -87,6 +90,12 @@ pub static DESCS: [Desc; 12] = [
         help: "Dual-simplex pivot iterations across warm-started LP solves.",
         labels: "",
         metric: MetricRef::Counter(&LP_DUAL_PIVOTS),
+    },
+    Desc {
+        name: "raven_lp_refactorizations_total",
+        help: "Basis inverses rebuilt from scratch across all LP solves.",
+        labels: "",
+        metric: MetricRef::Counter(&LP_REFACTORIZATIONS),
     },
     Desc {
         name: "raven_lp_milp_nodes_total",

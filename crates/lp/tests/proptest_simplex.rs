@@ -6,7 +6,7 @@
 //! Driven by the workspace's deterministic [`Rng`] so the suite builds
 //! offline and replays identically on every run.
 
-use raven_lp::{Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus};
+use raven_lp::{Direction, LinExpr, LpProblem, MilpOptions, Sense, SimplexOptions, SolveStatus};
 use raven_tensor::Rng;
 
 const CASES: usize = 64;
@@ -221,4 +221,52 @@ fn warm_started_milp_matches_cold_start() {
         }
         assert!(p.is_feasible(&w.values, 1e-6));
     }
+}
+
+#[test]
+fn refactorizing_every_pivot_matches_the_default_cadence() {
+    // `≥` rows with positive rhs, `≤` rows with negative rhs, and `=` rows
+    // all start with an artificial basic, so phase 1 refactorizes bases
+    // that mix structural, slack and artificial columns. Rebuilding the
+    // inverse before every pivot must not change the answer.
+    let mut rng = Rng::new(0x19_06);
+    let every = SimplexOptions {
+        refactor_every: 1,
+        ..SimplexOptions::default()
+    };
+    let mut optimal = 0;
+    for _ in 0..CASES {
+        let n = 2 + rng.below(5);
+        let m = 1 + rng.below(7);
+        let mut p = LpProblem::new();
+        let vars: Vec<_> = (0..n)
+            .map(|_| p.add_var(rng.in_range(-5.0, 0.0), rng.in_range(0.0, 5.0)))
+            .collect();
+        for _ in 0..m {
+            let row: LinExpr = vars.iter().map(|&v| (v, rng.in_range(-3.0, 3.0))).collect();
+            let (sense, rhs) = match rng.below(3) {
+                0 => (Sense::Ge, rng.in_range(0.5, 6.0)),
+                1 => (Sense::Le, rng.in_range(-6.0, -0.5)),
+                _ => (Sense::Eq, rng.in_range(-3.0, 3.0)),
+            };
+            p.add_constraint(row, sense, rhs);
+        }
+        let obj: LinExpr = vars.iter().map(|&v| (v, rng.in_range(-2.0, 2.0))).collect();
+        p.set_objective(Direction::Maximize, obj);
+
+        let a = p.solve_with(&every).expect("refactor-every-pivot solve");
+        let b = p.solve().expect("default solve");
+        assert_eq!(a.status, b.status);
+        if a.status == SolveStatus::Optimal {
+            optimal += 1;
+            assert!(
+                (a.objective - b.objective).abs() < 1e-6,
+                "every pivot {} vs default {}",
+                a.objective,
+                b.objective
+            );
+            assert!(p.is_feasible(&a.values, 1e-5));
+        }
+    }
+    assert!(optimal > 0, "some random LP must be feasible");
 }

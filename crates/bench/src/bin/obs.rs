@@ -14,11 +14,10 @@
 //! `lp_warm_starts` are all non-zero, which is what makes the report a
 //! meaningful guard for the branch-and-bound hot path.
 //!
-//! Certificate overhead, fleet dispatch round trips, and tracing overhead
-//! (the same workload with and without a per-request trace context) are
-//! measured *after* the counter snapshot, so the pivot-regression gate
-//! below keeps comparing like with like across baselines that predate
-//! them.
+//! Certificate overhead and tracing overhead (the same workload with and
+//! without a per-request trace context) are measured *after* the counter
+//! snapshot, so the pivot-regression gate below keeps comparing like with
+//! like across baselines that predate them.
 //!
 //! Usage: `cargo run -p raven-bench --release --bin obs -- [--out FILE]
 //! [--threads n] [--check BASELINE]` (default output `BENCH_obs.json`).
@@ -209,117 +208,7 @@ fn main() {
     })
     .collect();
 
-    // Fleet dispatch round trip, also outside the pivot-gate window: an
-    // in-process server with a fleet listener, one in-process worker, and
-    // a handful of distinct fleet-eligible queries (distinct eps so none
-    // is served from the result cache). Records the certificate-gated
-    // dispatch RTT and the remote-vs-local split.
-    let fleet = {
-        use raven_serve::fleet::{run_worker, WorkerOptions};
-        use raven_serve::registry::ModelRegistry;
-        use raven_serve::{metrics as serve_m, Server, ServerConfig};
-        use std::io::{Read, Write};
-        use std::net::TcpStream;
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        static WORKER_STOP: AtomicBool = AtomicBool::new(false);
-
-        let mut registry = ModelRegistry::new();
-        registry.add_network("fc-small", model.net.clone());
-        let mut worker_registry = ModelRegistry::new();
-        worker_registry.add_network("fc-small", model.net.clone());
-
-        let server_config = ServerConfig {
-            fleet_addr: Some("127.0.0.1:0".to_string()),
-            job_threads: threads,
-            // The bench measures dispatch RTT, so dispatch must happen:
-            // disable the saturation gate (an idle bench pool would
-            // otherwise keep every query local).
-            fleet: raven_serve::fleet::FleetConfig {
-                when_saturated: false,
-                ..raven_serve::fleet::FleetConfig::default()
-            },
-            ..ServerConfig::default()
-        };
-        let server = Server::bind(&server_config, registry).expect("bind fleet bench server");
-        let addr = server.local_addr().expect("server addr");
-        let fleet_addr = server.fleet_addr().expect("fleet addr");
-        let shutdown = server.shutdown_handle();
-        let server_thread = std::thread::spawn(move || server.run());
-        let worker_thread = std::thread::spawn(move || {
-            let opts = WorkerOptions {
-                connect: fleet_addr.to_string(),
-                name: "bench-worker".to_string(),
-                registry: worker_registry,
-                job_threads: threads,
-                reconnect: std::time::Duration::from_millis(100),
-                cache_capacity: 64,
-                once: true,
-            };
-            let _ = run_worker(&opts, &WORKER_STOP);
-        });
-
-        let (inputs, labels) = uap_batches(&model, 3, 1).swap_remove(0);
-        let inputs_json = Json::Arr(
-            inputs
-                .iter()
-                .map(|x| Json::Arr(x.iter().map(|&v| Json::from(v)).collect()))
-                .collect(),
-        );
-        let labels_json = Json::Arr(labels.iter().map(|&l| Json::from(l)).collect());
-        let before = (
-            serve_m::FLEET_DISPATCH_SECONDS.sum(),
-            serve_m::FLEET_REMOTE_SOLVES.get(),
-            serve_m::FLEET_LOCAL_FALLBACKS.get(),
-        );
-        let queries = 4usize;
-        let mut rtt_wall_millis = 0.0;
-        for i in 0..queries {
-            let body = Json::obj([
-                ("model", Json::from("fc-small")),
-                ("eps", Json::from(0.03 + i as f64 * 1e-4)),
-                ("method", Json::from("raven")),
-                ("inputs", inputs_json.clone()),
-                ("labels", labels_json.clone()),
-            ])
-            .to_string();
-            let rtt_start = Instant::now();
-            let mut stream = TcpStream::connect(addr).expect("connect bench server");
-            write!(
-                stream,
-                "POST /v1/verify/uap HTTP/1.1\r\nHost: raven\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .expect("send fleet query");
-            let mut response = String::new();
-            stream.read_to_string(&mut response).expect("read verdict");
-            assert!(
-                response.starts_with("HTTP/1.1 200"),
-                "fleet bench query failed: {response}"
-            );
-            rtt_wall_millis += rtt_start.elapsed().as_secs_f64() * 1e3;
-        }
-        shutdown.shutdown();
-        WORKER_STOP.store(true, Ordering::SeqCst);
-        server_thread.join().expect("server thread");
-        worker_thread.join().expect("worker thread");
-
-        let remote = serve_m::FLEET_REMOTE_SOLVES.get() - before.1;
-        let local = serve_m::FLEET_LOCAL_FALLBACKS.get() - before.2;
-        let dispatch_millis = 1e3 * (serve_m::FLEET_DISPATCH_SECONDS.sum() - before.0);
-        Json::obj([
-            ("queries", Json::from(queries)),
-            ("remote_solves", Json::from(remote as f64)),
-            ("local_fallbacks", Json::from(local as f64)),
-            ("dispatch_rtt_millis", Json::from(dispatch_millis)),
-            (
-                "client_rtt_millis",
-                Json::from(rtt_wall_millis / queries as f64),
-            ),
-        ])
-    };
-
-    // Distributed-tracing overhead, also outside the pivot-gate window:
+    // Tracing overhead, also outside the pivot-gate window:
     // the same moderate-ε UAP batch solved with and without a per-request
     // trace context buffering spans. Tracing is observe-only, so the only
     // cost is the per-record buffering — this column keeps it honest.
@@ -382,7 +271,6 @@ fn main() {
         ("counters", Json::Obj(deltas)),
         ("phase_millis", Json::Obj(phases)),
         ("certificates", Json::Obj(certificates)),
-        ("fleet", fleet),
         ("tracing", tracing),
     ]);
     std::fs::write(&out, format!("{report}\n")).expect("write report");

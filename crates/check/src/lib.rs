@@ -32,8 +32,8 @@ pub use dyadic::Dyadic;
 pub use replay::{check_certificate, CheckError, CheckReport};
 
 /// Parses and replays a certificate straight from its JSON form — the
-/// one-call gate used by services that receive certificates over the wire
-/// (e.g. `raven-serve`'s fleet dispatch and spot checks). Parse failures
+/// one-call gate behind `raven_check` and `raven-serve`'s certificate
+/// spot checks. Parse failures
 /// surface as [`CheckError::Malformed`], replay failures as their own
 /// [`CheckError`] variants.
 ///

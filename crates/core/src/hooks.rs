@@ -113,11 +113,11 @@ impl<'a> RunHooks<'a> {
         self
     }
 
-    /// Attaches a distributed-trace context. The verify entry points
-    /// install it on the executing thread for the duration of the run
-    /// (restoring the previous context afterwards), which is what lets a
-    /// caller build hooks on one thread and run verification on another —
-    /// the `raven-serve` queue and `raven_worker` both rely on this.
+    /// Attaches a request trace context. The verify entry points install
+    /// it on the executing thread for the duration of the run (restoring
+    /// the previous context afterwards), which is what lets a caller build
+    /// hooks on one thread and run verification on another — the
+    /// `raven-serve` queue relies on this.
     pub fn with_trace(mut self, ctx: raven_obs::TraceCtx) -> Self {
         self.trace = Some(ctx);
         self

@@ -14,9 +14,8 @@
 //! * [`SpanGuard`]/[`span`] — hierarchical monotonic-clock spans emitted as
 //!   JSONL events to a process-wide [sink](set_sink_path);
 //! * [`Timer`] — a drop-guard that records elapsed seconds into a histogram;
-//! * [`TraceCtx`]/[`begin_trace`] — request-scoped distributed tracing:
-//!   a 128-bit trace id carried explicitly across threads (and fleet
-//!   processes), per-trace ring buffers, and a [`TailSampler`] that keeps
+//! * [`TraceCtx`]/[`begin_trace`] — request-scoped tracing: a 128-bit
+//!   trace id carried explicitly across threads, per-trace ring buffers, and a [`TailSampler`] that keeps
 //!   slow/degraded/errored traces and samples the rest;
 //! * [`render_prometheus`] — the Prometheus text exposition renderer over
 //!   static [`Desc`] tables.
@@ -58,7 +57,6 @@ pub use span::{
 };
 pub use trace::{
     begin_trace, current_trace, discard_trace, end_trace, format_traceparent, mint_trace_id,
-    next_span_id, now_us, parse_traceparent, propagate_trace, record_into, set_current_trace,
-    KeepReason, TailSampler, TraceCtx, TraceData, TraceOutcome, TraceRecord, TraceScope,
-    TRACE_BUFFER_CAP,
+    next_span_id, now_us, parse_traceparent, propagate_trace, set_current_trace, KeepReason,
+    TailSampler, TraceCtx, TraceData, TraceOutcome, TraceRecord, TraceScope, TRACE_BUFFER_CAP,
 };

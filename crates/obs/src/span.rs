@@ -164,7 +164,6 @@ pub fn event(name: &str, fields: &[(&str, String)]) {
                 },
                 start_us: ts_us,
                 dur_us: 0,
-                remote: false,
                 fields: fields
                     .iter()
                     .map(|(k, v)| (k.to_string(), v.clone()))
@@ -249,14 +248,6 @@ fn span_with(name: &'static str, hist: Option<&'static Histogram>) -> SpanGuard 
     }
 }
 
-impl SpanGuard {
-    /// This span's id (`0` when telemetry was disabled at open time) —
-    /// used to parent remote spans stitched under a fleet dispatch.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else {
@@ -301,7 +292,6 @@ impl Drop for SpanGuard {
                     },
                     start_us,
                     dur_us,
-                    remote: false,
                     fields: Vec::new(),
                 },
             );

@@ -1,27 +1,25 @@
-//! Request-scoped distributed tracing: trace context, per-trace buffers,
-//! and the tail-sampling policy.
+//! Request-scoped tracing: trace context, per-trace buffers, and the
+//! tail-sampling policy.
 //!
 //! A [`TraceCtx`] names one end-to-end request: a 128-bit trace id (wire
 //! format: a W3C `traceparent`-style header) plus the span id that should
 //! parent any thread-root span opened while the context is installed. The
 //! context is **carried explicitly**: nothing flows between threads unless
 //! someone calls [`set_current_trace`] (or holds a [`TraceScope`]) on the
-//! receiving thread — `raven-serve` does this at job boundaries, `raven`'s
-//! parallel map does it for its scoped workers, and a fleet worker does it
-//! per remote job.
+//! receiving thread — `raven-serve` does this at job boundaries, and
+//! `raven`'s parallel map does it for its scoped workers.
 //!
 //! While a context is current, every span and event that closes on the
 //! thread is additionally recorded into a bounded per-trace ring buffer
 //! (capacity [`TRACE_BUFFER_CAP`]; the oldest records are dropped and
 //! counted). The buffer is keyed by an opaque collection key minted by
-//! [`begin_trace`], *not* by the trace id — so a server and an in-process
-//! fleet worker can buffer the same trace id concurrently without stealing
-//! each other's records.
+//! [`begin_trace`], *not* by the trace id — so two requests that continue
+//! the same caller's `traceparent` can buffer the same trace id
+//! concurrently without stealing each other's records.
 //!
 //! Collection is unconditional while a context is current; *retention* is
 //! decided at the end of the request by a [`TailSampler`]: traces that were
-//! slow, degraded, errored, retried, or certificate-rejected are always
-//! kept, the rest are sampled by a deterministic hash of the trace id.
+//! slow, degraded, errored, or retried are always kept, the rest are sampled by a deterministic hash of the trace id.
 //!
 //! Everything here is observe-only (see the crate-level determinism
 //! contract): trace buffers are write-only from the solver's perspective
@@ -41,15 +39,14 @@ pub const TRACE_BUFFER_CAP: usize = 4096;
 const MAX_LIVE_TRACES: usize = 1024;
 
 /// The identity of one end-to-end request, carried explicitly across
-/// threads and processes.
+/// threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceCtx {
-    /// 128-bit trace id (nonzero), shared by every process that touches
-    /// the request.
+    /// 128-bit trace id (nonzero); a caller's `traceparent` header
+    /// supplies it, or it is minted for the request.
     pub trace_id: u128,
     /// Span id that parents any span whose thread-local stack is empty
-    /// while this context is current — the request's root (or, on a fleet
-    /// worker, the server's dispatch span).
+    /// while this context is current — the request's root.
     pub parent_span: u64,
     /// Collection-buffer key minted by [`begin_trace`]; `0` = unbuffered.
     key: u64,
@@ -72,15 +69,12 @@ pub struct TraceRecord {
     pub id: u64,
     /// Parent span id (`0` = trace root).
     pub parent: u64,
-    /// Thread label; stitched remote records are prefixed `worker/`.
+    /// Thread label.
     pub thread: String,
-    /// Microseconds since the recording process's telemetry epoch (remote
-    /// records are rebased onto the dispatch span at stitch time).
+    /// Microseconds since the process's telemetry epoch.
     pub start_us: u64,
     /// Duration in microseconds (`0` for events).
     pub dur_us: u64,
-    /// Whether the record was shipped home from a fleet worker.
-    pub remote: bool,
     /// Extra key/value fields (events only).
     pub fields: Vec<(String, String)>,
 }
@@ -189,10 +183,9 @@ impl Drop for TraceScope {
     }
 }
 
-/// Appends `record` to the buffer of `ctx` (ring-buffer semantics). Used
-/// both internally on span close and by `raven-serve` to stitch records
-/// shipped home from a fleet worker.
-pub fn record_into(ctx: TraceCtx, record: TraceRecord) {
+/// Appends `record` to the buffer of `ctx` (ring-buffer semantics), on
+/// span close and on every event.
+pub(crate) fn record_into(ctx: TraceCtx, record: TraceRecord) {
     if ctx.key == 0 {
         return;
     }
@@ -206,8 +199,8 @@ pub fn record_into(ctx: TraceCtx, record: TraceRecord) {
     }
 }
 
-/// Mints a fresh span id from the process-wide sequence — used to give
-/// stitched remote spans ids that cannot collide with local ones.
+/// Mints a fresh span id from the process-wide sequence — used for the
+/// request root span a trace context names as parent.
 pub fn next_span_id() -> u64 {
     crate::span::mint_span_id()
 }
@@ -278,15 +271,12 @@ pub struct TraceOutcome {
     pub errored: bool,
     /// The job ran more than once (panic-recovery retry).
     pub retried: bool,
-    /// A fleet worker's certificate was rejected during the request.
-    pub certificate_rejected: bool,
 }
 
 /// Why a trace was retained.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeepReason {
     Errored,
-    CertificateRejected,
     Retried,
     Degraded,
     Slow,
@@ -297,7 +287,6 @@ impl KeepReason {
     pub fn as_str(&self) -> &'static str {
         match self {
             KeepReason::Errored => "errored",
-            KeepReason::CertificateRejected => "certificate_rejected",
             KeepReason::Retried => "retried",
             KeepReason::Degraded => "degraded",
             KeepReason::Slow => "slow",
@@ -324,8 +313,6 @@ impl TailSampler {
     pub fn keep(&self, trace_id: u128, outcome: &TraceOutcome) -> Option<KeepReason> {
         if outcome.errored {
             Some(KeepReason::Errored)
-        } else if outcome.certificate_rejected {
-            Some(KeepReason::CertificateRejected)
         } else if outcome.retried {
             Some(KeepReason::Retried)
         } else if outcome.degraded {
@@ -389,9 +376,9 @@ mod tests {
 
     #[test]
     fn buffers_are_keyed_per_collection_not_per_trace_id() {
-        // A server and an in-process worker can both collect trace 77.
+        // Two requests continuing one caller's trace both collect trace 77.
         let server = begin_trace(77, 1);
-        let worker = begin_trace(77, 0);
+        let other = begin_trace(77, 0);
         record_into(
             server,
             TraceRecord {
@@ -402,28 +389,26 @@ mod tests {
                 thread: "t".into(),
                 start_us: 0,
                 dur_us: 5,
-                remote: false,
                 fields: Vec::new(),
             },
         );
         record_into(
-            worker,
+            other,
             TraceRecord {
                 kind: "span",
-                name: "remote".into(),
+                name: "other".into(),
                 id: 11,
                 parent: 0,
-                thread: "w".into(),
+                thread: "u".into(),
                 start_us: 0,
                 dur_us: 5,
-                remote: false,
                 fields: Vec::new(),
             },
         );
-        let wdata = end_trace(worker);
+        let odata = end_trace(other);
         let sdata = end_trace(server);
-        assert_eq!(wdata.records.len(), 1);
-        assert_eq!(wdata.records[0].name, "remote");
+        assert_eq!(odata.records.len(), 1);
+        assert_eq!(odata.records[0].name, "other");
         assert_eq!(sdata.records.len(), 1);
         assert_eq!(sdata.records[0].name, "local");
         // Ending twice is a no-op.
@@ -445,7 +430,6 @@ mod tests {
                     thread: "t".into(),
                     start_us: i as u64,
                     dur_us: 0,
-                    remote: false,
                     fields: Vec::new(),
                 },
             );
@@ -489,13 +473,6 @@ mod tests {
                     ..fast
                 },
                 KeepReason::Errored,
-            ),
-            (
-                TraceOutcome {
-                    certificate_rejected: true,
-                    ..fast
-                },
-                KeepReason::CertificateRejected,
             ),
             (
                 TraceOutcome {

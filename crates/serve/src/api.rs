@@ -7,7 +7,6 @@
 //! to the CLI's for the same query.
 
 use crate::cache::{CacheKey, CachedResult, PayloadHasher};
-use crate::fleet::{DispatchCtx, Expected, ExpectedKind};
 use crate::http::Request;
 use crate::journal::Record;
 use crate::queue::{JobFn, JobMeta, JobSlot, JobState};
@@ -70,7 +69,7 @@ fn queue_full_reply() -> Reply {
 pub fn handle(state: &Arc<ServerState>, req: &Request) -> Reply {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/v1/healthz") => healthz(state),
-        ("GET", "/v1/metrics") => metrics(state),
+        ("GET", "/v1/metrics") => metrics(),
         ("GET", "/v1/models") => models(state),
         ("POST", "/v1/verify/uap") => verify_sync(state, req, Property::Uap),
         ("POST", "/v1/verify/mono") => verify_sync(state, req, Property::Mono),
@@ -85,20 +84,14 @@ pub fn handle(state: &Arc<ServerState>, req: &Request) -> Reply {
 
 /// `GET /v1/metrics` — the whole stack's instruments (solver, analysis
 /// domains, verifier core, service layer) in Prometheus text format.
-fn metrics(state: &Arc<ServerState>) -> Reply {
+fn metrics() -> Reply {
     let mut tables = raven::metrics::all_descs();
     tables.push(&crate::metrics::DESCS);
-    let mut body = raven_obs::render_prometheus(&tables);
-    if let Some(fleet) = &state.fleet {
-        // Per-worker labeled series are dynamic (one per connected worker
-        // name) and therefore rendered by the fleet, not the static tables.
-        body.push_str(&fleet.render_prometheus());
-    }
     Reply {
         status: 200,
         content_type: "text/plain; version=0.0.4; charset=utf-8",
         headers: Vec::new(),
-        body,
+        body: raven_obs::render_prometheus(&tables),
     }
 }
 
@@ -140,7 +133,7 @@ fn trace_detail(state: &Arc<ServerState>, req: &Request, path: &str) -> Reply {
 fn healthz(state: &Arc<ServerState>) -> Reply {
     let stats = state.queue.stats();
     let (hits, misses) = state.cache.counters();
-    let mut body = Json::obj([
+    let body = Json::obj([
         ("status", Json::from("ok")),
         (
             "uptime_secs",
@@ -204,11 +197,6 @@ fn healthz(state: &Arc<ServerState>) -> Reply {
             ]),
         ),
     ]);
-    if let Some(fleet) = &state.fleet {
-        if let Json::Obj(fields) = &mut body {
-            fields.push(("fleet".to_string(), fleet.healthz_json()));
-        }
-    }
     Reply::json(200, body.to_string())
 }
 
@@ -279,9 +267,6 @@ struct VerifySpec {
     /// identical either way — but a certificate request bypasses cache
     /// *reads*, since cached entries carry no certificate.
     certificate: bool,
-    /// The raw request body text, kept for fleet dispatch (the job frame
-    /// forwards it verbatim so the worker parses exactly what we parsed).
-    raw_body: String,
 }
 
 enum Payload {
@@ -543,7 +528,6 @@ fn parse_spec(
         deadline_ms,
         idempotency_key,
         certificate,
-        raw_body: text.to_string(),
     })
 }
 
@@ -601,8 +585,7 @@ fn certificate_json(cert: Option<raven::Certificate>) -> (Option<Json>, bool) {
     (Some(json), ok)
 }
 
-/// Computes the verdict for `spec` (expensive; runs on a worker thread
-/// or inside a remote `raven_worker` process).
+/// Computes the verdict for `spec` (expensive; runs on a worker thread).
 ///
 /// The solve deadline starts ticking here, when a worker picks the job
 /// up. On exhaustion the verifier degrades to the strongest sound verdict
@@ -610,8 +593,7 @@ fn certificate_json(cert: Option<raven::Certificate>) -> (Option<Json>, bool) {
 /// instead of erroring.
 ///
 /// Returns an error only when the run was cancelled — through either of
-/// the two cancel flags (server shutdown and the job's own watchdog flag
-/// locally; the worker stop flag remotely).
+/// the two cancel flags (server shutdown and the job's own watchdog flag).
 fn compute_verdict(
     spec: &VerifySpec,
     deadline: Option<Duration>,
@@ -623,9 +605,8 @@ fn compute_verdict(
         .with_cancel(cancels.0)
         .with_cancel(cancels.1);
     // Attach the request's trace context (installed on this thread by the
-    // queue locally, or by the fleet worker loop remotely) so the phase
-    // spans and solver events land in the owning trace even when the
-    // verifier fans out to helper threads.
+    // queue) so the phase spans and solver events land in the owning trace
+    // even when the verifier fans out to helper threads.
     if let Some(ctx) = raven_obs::current_trace() {
         hooks = hooks.with_trace(ctx);
     }
@@ -739,80 +720,9 @@ fn envelope(
     )
 }
 
-/// Whether a job is worth shipping to the fleet: the solver-backed
-/// methods are the expensive ones; pure-analysis methods finish in
-/// microseconds locally, and the artificial `delay_millis` knob exists to
-/// occupy *this* server's workers in backpressure tests.
-fn fleet_eligible(spec: &VerifySpec) -> bool {
-    matches!(spec.method, Method::IoLp | Method::Raven) && spec.delay_millis == 0
-}
-
-/// The expectation the certificate gate checks a remote result against,
-/// derived from the server's own parse of the request.
-fn expected_for(spec: &VerifySpec) -> Expected {
-    let kind = match &spec.payload {
-        Payload::Uap { inputs, .. } => ExpectedKind::Uap {
-            k: inputs.len(),
-            eps: spec.eps,
-        },
-        Payload::Mono {
-            feature,
-            tau,
-            increasing,
-            ..
-        } => ExpectedKind::Mono {
-            eps: spec.eps,
-            feature: *feature,
-            tau: *tau,
-            increasing: *increasing,
-        },
-    };
-    Expected {
-        property: spec.property_name().to_string(),
-        model_hash: spec.entry.hash_hex(),
-        want_certificate: spec.certificate,
-        kind,
-    }
-}
-
-/// Caches an accepted remote envelope under the job's cache key, exactly
-/// as a local solve would have been (only when not degraded).
-fn cache_remote(state: &Arc<ServerState>, key: CacheKey, env: &Json) {
-    let Some(result) = env.get("result") else {
-        return;
-    };
-    if result.get("degraded").and_then(Json::as_bool) != Some(false) {
-        return;
-    }
-    let tier = |field: &str| {
-        env.get("tier_millis")
-            .and_then(|t| t.get(field))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    state.cache.put(
-        key,
-        CachedResult {
-            verdict: result.to_string(),
-            solve_millis: env
-                .get("solve_millis")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            tier_millis: TierMillis {
-                analysis: tier("analysis"),
-                lp: tier("lp"),
-                milp: tier("milp"),
-            },
-            certificate: None,
-        },
-    );
-}
-
-/// The job closure body: cache-aware verdict computation, with fleet
-/// dispatch when workers are attached and local compute as the fallback.
+/// The job closure body: cache-aware verdict computation.
 fn run_verify(
     state: &Arc<ServerState>,
-    id: u64,
     spec: &VerifySpec,
     check_cache: bool,
     job_cancel: &AtomicBool,
@@ -836,37 +746,6 @@ fn run_verify(
         .deadline_ms
         .map(Duration::from_millis)
         .or(state.default_deadline);
-    if let Some(fleet) = &state.fleet {
-        if fleet_eligible(spec) {
-            // Saturation-aware admission: an idle local pool answers
-            // faster than a dispatch round trip, so remote dispatch is
-            // preferred only once every local worker is occupied or jobs
-            // are queued behind them. `--fleet-when-saturated 0` restores
-            // the old always-dispatch behavior.
-            if fleet.config().when_saturated && !pool_saturated(state) {
-                crate::metrics::FLEET_KEPT_LOCAL.inc();
-            } else {
-                let model_hash = spec.entry.hash_hex();
-                let ctx = DispatchCtx {
-                    job_id: id,
-                    property: spec.property_name(),
-                    body: &spec.raw_body,
-                    model: &spec.entry.name,
-                    model_hash: &model_hash,
-                    deadline_ms: deadline.map(|d| d.as_millis() as u64),
-                    journal: state.journal.as_deref(),
-                    trace: raven_obs::current_trace(),
-                };
-                if let Some(env) = fleet.dispatch(&ctx, &expected_for(spec), job_cancel) {
-                    // The gate already pinned the envelope to this job's
-                    // spec; an accepted remote verdict caches like a
-                    // local one.
-                    cache_remote(state, key, &env);
-                    return Ok(env);
-                }
-            }
-        }
-    }
     let mut computed = compute_verdict(spec, deadline, (&state.cancel, job_cancel))?;
     if state.strict_certificates && !computed.spot_ok {
         // Strict mode: never serve a response whose certificate failed its
@@ -886,7 +765,6 @@ fn run_verify(
                 verdict: computed.verdict.clone(),
                 solve_millis: computed.solve_millis,
                 tier_millis: computed.tier_millis,
-                certificate: None,
             },
         );
     }
@@ -898,84 +776,6 @@ fn run_verify(
         false,
         computed.certificate,
     ))
-}
-
-/// Whether the local worker pool is saturated: jobs queued, or every
-/// worker occupied (the calling job itself holds one right now, so a
-/// single-worker pool is always saturated from inside a job).
-fn pool_saturated(state: &Arc<ServerState>) -> bool {
-    let stats = state.queue.stats();
-    stats.queued > 0 || stats.running >= state.pool_workers
-}
-
-/// Computes one dispatched job inside a `raven_worker` process: parse the
-/// forwarded body exactly as the server did, force certificate emission
-/// (the server's gate requires a proof regardless of what the client
-/// asked for), and return the envelope — with the *client's* certificate
-/// preference — plus the certificate for the result frame.
-pub(crate) fn remote_compute(
-    registry: &ModelRegistry,
-    job_threads: usize,
-    property: &str,
-    body: &[u8],
-    deadline_ms: Option<u64>,
-    cache: &crate::cache::ResultCache,
-    stop: &AtomicBool,
-) -> Result<(Json, Option<Json>), String> {
-    let property =
-        Property::from_name(property).ok_or_else(|| format!("unknown property {property:?}"))?;
-    let mut spec = parse_spec(registry, job_threads, body, property)
-        .map_err(|ParseFail(_, msg)| format!("job body does not parse: {msg}"))?;
-    let want_certificate = spec.certificate;
-    spec.certificate = true;
-    let key = spec.cache_key();
-    if let Some(hit) = cache.get(&key) {
-        // A retried job on a warm worker skips the re-solve: the
-        // envelope is re-assembled fresh (so `cached` stays false — the
-        // gate demands fresh-computation semantics) around the identical
-        // verdict and certificate bytes.
-        let certificate = hit.certificate.as_deref().and_then(|c| Json::parse(c).ok());
-        spec.certificate = want_certificate;
-        let env = envelope(
-            &spec,
-            &hit.verdict,
-            hit.solve_millis,
-            &hit.tier_millis,
-            false,
-            want_certificate.then(|| certificate.clone()).flatten(),
-        );
-        return Ok((env, certificate));
-    }
-    // The server ships the *effective* deadline (request override or
-    // server default already applied); the body's own field is ignored.
-    let deadline = deadline_ms.map(Duration::from_millis);
-    let computed = compute_verdict(&spec, deadline, (stop, stop))?;
-    spec.certificate = want_certificate;
-    // Degraded runs are budget-dependent and never cached; runs without a
-    // proof are not worth caching either — the gate would reject a replay
-    // served without one.
-    if !computed.degraded && computed.certificate.is_some() {
-        cache.put(
-            key,
-            CachedResult {
-                verdict: computed.verdict.clone(),
-                solve_millis: computed.solve_millis,
-                tier_millis: computed.tier_millis,
-                certificate: computed.certificate.as_ref().map(Json::to_string),
-            },
-        );
-    }
-    let env = envelope(
-        &spec,
-        &computed.verdict,
-        computed.solve_millis,
-        &computed.tier_millis,
-        false,
-        want_certificate
-            .then(|| computed.certificate.clone())
-            .flatten(),
-    );
-    Ok((env, computed.certificate))
 }
 
 /// Builds the per-job scheduling metadata and queue closure for `spec`.
@@ -1002,7 +802,7 @@ fn job_for(
         let job_trace = crate::trace::JobTrace::begin();
         let mut result = {
             let _span = raven_obs::span("job");
-            run_verify(&job_state, id, &spec, check_cache, &cancel)
+            run_verify(&job_state, &spec, check_cache, &cancel)
         };
         if let Some(t) = job_trace {
             t.finish(
@@ -1302,7 +1102,6 @@ pub(crate) fn restore_cached_verdict(
                 lp: tier("lp"),
                 milp: tier("milp"),
             },
-            certificate: None,
         },
     );
     true

@@ -46,26 +46,12 @@ options:
                               exponential backoff before failing (default 1)
   --client-timeout-ms N       per-connection client socket read/write timeout
                               (default 10000)
-  --fleet-addr HOST:PORT      bind a fleet listener for raven_worker
-                              processes; remote results are served only
-                              after their proof certificate replays
-                              in-process (default: no fleet)
-  --fleet-timeout-ms N        socket-level patience per fleet dispatch, on
-                              top of the job's solve deadline (default 10000)
-  --fleet-when-saturated B    1 = only dispatch remotely when the local
-                              worker pool is saturated, 0 = always prefer
-                              remote (default 1)
-  --worker-probation-ms N     quarantine length after repeated certificate
-                              rejections (default 60000)
-  --worker-reject-strikes N   certificate rejections before quarantine
-                              (default 2)
   --strict-certificates       recompute a job whose emitted certificate
                               fails its own spot check instead of serving
                               the unverifiable response
   --trace-slow-ms N           tail sampling always keeps traces of requests
                               at least this slow (default 500; degraded,
-                              errored, retried, and certificate-rejected
-                              requests are always kept)
+                              errored, and retried requests are always kept)
   --trace-sample-rate R       probability in [0,1] of keeping an otherwise
                               uninteresting request's trace (default 1.0)
   --trace-capacity N          retained traces behind /v1/traces before the
@@ -170,33 +156,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 let ms: usize = parse_num(&value("--client-timeout-ms")?, "--client-timeout-ms")?;
                 config.client_timeout = Duration::from_millis(ms as u64);
             }
-            "--fleet-addr" => config.fleet_addr = Some(value("--fleet-addr")?),
-            "--fleet-timeout-ms" => {
-                let ms: usize = parse_num(&value("--fleet-timeout-ms")?, "--fleet-timeout-ms")?;
-                config.fleet.io_timeout = Duration::from_millis(ms as u64);
-            }
-            "--worker-probation-ms" => {
-                let ms: usize =
-                    parse_num(&value("--worker-probation-ms")?, "--worker-probation-ms")?;
-                config.fleet.probation = Duration::from_millis(ms as u64);
-            }
-            "--worker-reject-strikes" => {
-                config.fleet.reject_strikes = parse_num(
-                    &value("--worker-reject-strikes")?,
-                    "--worker-reject-strikes",
-                )? as u32;
-            }
-            "--fleet-when-saturated" => {
-                config.fleet.when_saturated = match value("--fleet-when-saturated")?.as_str() {
-                    "0" => false,
-                    "1" => true,
-                    other => {
-                        return Err(format!(
-                            "--fleet-when-saturated: expected 0 or 1, got {other}"
-                        ))
-                    }
-                };
-            }
             "--strict-certificates" => config.strict_certificates = true,
             "--trace-slow-ms" => {
                 config.trace_slow_ms =
@@ -259,9 +218,6 @@ fn main() -> ExitCode {
     let addr = server.local_addr().expect("listener has an address");
     for entry in server.state().registry.entries() {
         eprintln!("loaded model {} ({})", entry.name, entry.hash_hex());
-    }
-    if let Some(fleet_addr) = server.fleet_addr() {
-        eprintln!("raven-serve fleet listening on {fleet_addr}");
     }
     eprintln!("raven-serve listening on http://{addr}");
 
@@ -334,16 +290,6 @@ mod tests {
             "3",
             "--client-timeout-ms",
             "2500",
-            "--fleet-addr",
-            "127.0.0.1:0",
-            "--fleet-timeout-ms",
-            "3000",
-            "--worker-probation-ms",
-            "1234",
-            "--worker-reject-strikes",
-            "5",
-            "--fleet-when-saturated",
-            "0",
             "--strict-certificates",
             "--trace-slow-ms",
             "250",
@@ -374,11 +320,6 @@ mod tests {
         assert_eq!(parsed.config.watchdog_grace, Duration::from_millis(500));
         assert_eq!(parsed.config.job_retries, 3);
         assert_eq!(parsed.config.client_timeout, Duration::from_millis(2500));
-        assert_eq!(parsed.config.fleet_addr.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(parsed.config.fleet.io_timeout, Duration::from_millis(3000));
-        assert_eq!(parsed.config.fleet.probation, Duration::from_millis(1234));
-        assert_eq!(parsed.config.fleet.reject_strikes, 5);
-        assert!(!parsed.config.fleet.when_saturated);
         assert!(parsed.config.strict_certificates);
         assert_eq!(parsed.config.trace_slow_ms, 250);
         assert_eq!(parsed.config.trace_sample_rate, 0.25);
@@ -396,17 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn fleet_defaults_are_off() {
+    fn strict_certificates_and_client_timeout_defaults() {
         let parsed = parse_args(&args(&["--models-dir", "m"])).unwrap();
-        assert!(parsed.config.fleet_addr.is_none());
         assert!(!parsed.config.strict_certificates);
         assert_eq!(parsed.config.client_timeout, Duration::from_secs(10));
-        assert!(parsed.config.fleet.when_saturated);
-        assert!(
-            parse_args(&args(&["--models-dir", "m", "--fleet-when-saturated", "2"]))
-                .unwrap_err()
-                .contains("0 or 1")
-        );
     }
 
     #[test]
@@ -423,6 +357,11 @@ mod tests {
         assert!(parse_args(&args(&["--models-dir", "m", "--bogus"]))
             .unwrap_err()
             .contains("--bogus"));
+        // The removed worker-fleet flags are unknown like any other.
+        assert_eq!(
+            parse_args(&args(&["--models-dir", "m", "--fleet-addr", "127.0.0.1:0"])).unwrap_err(),
+            "unknown flag --fleet-addr"
+        );
         assert!(parse_args(&args(&["--models-dir"]))
             .unwrap_err()
             .contains("needs a value"));

@@ -115,11 +115,6 @@ pub struct CachedResult {
     pub solve_millis: f64,
     /// Per-tier breakdown of the original computation.
     pub tier_millis: raven::TierMillis,
-    /// Serialized proof certificate of the original run, when one was
-    /// emitted and retained. The server's verdict cache never stores one
-    /// (certificate requests bypass cache reads); the *worker-side* cache
-    /// keeps it so a retried job re-emits the identical proof.
-    pub certificate: Option<String>,
 }
 
 struct Slot {
@@ -247,7 +242,6 @@ mod tests {
             verdict: s.to_string(),
             solve_millis: 1.0,
             tier_millis: raven::TierMillis::default(),
-            certificate: None,
         }
     }
 

@@ -25,32 +25,6 @@ static ABORT_NEXT_JOBS: AtomicU64 = AtomicU64::new(0);
 #[cfg(any(debug_assertions, feature = "chaos"))]
 static TAMPER_NEXT_CERTS: AtomicU64 = AtomicU64::new(0);
 
-/// Byzantine worker behavior (`raven_worker` chaos modes). The enum is
-/// always present so fleet code compiles identically; arming only works
-/// when the chaos bodies are compiled in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerChaos {
-    /// Zero every dual multiplier and Farkas ray in the certificate: the
-    /// evidence loosens while the claimed bound stays tight, so exact
-    /// replay must reject.
-    CorruptDuals,
-    /// Flip the envelope's `verified` flag (with superficially consistent
-    /// companion fields); the untouched certificate no longer implies the
-    /// verdict, so the gate must reject.
-    FlipVerdict,
-    /// Accept the job and never answer; the server must time out and
-    /// retry elsewhere.
-    Stall,
-    /// Write half a result frame and drop the connection mid-frame.
-    Disconnect,
-}
-
-#[cfg(any(debug_assertions, feature = "chaos"))]
-static WORKER_CHAOS_MODE: AtomicU64 = AtomicU64::new(0);
-
-#[cfg(any(debug_assertions, feature = "chaos"))]
-static WORKER_CHAOS_BUDGET: AtomicU64 = AtomicU64::new(0);
-
 /// Makes the next `n` verification jobs panic as they start computing
 /// (after queue admission, on the worker thread). No-op in release builds
 /// without the `chaos` feature.
@@ -85,26 +59,6 @@ pub fn set_tamper_next_certs(n: u64) {
     let _ = n;
 }
 
-/// Arms a Byzantine worker mode for the next `budget` jobs this process
-/// serves as a fleet worker; after the budget is consumed the worker
-/// behaves honestly (which is what lets a quarantined worker earn its way
-/// back in). No-op in release builds without the `chaos` feature.
-pub fn set_worker_chaos(mode: WorkerChaos, budget: u64) {
-    #[cfg(any(debug_assertions, feature = "chaos"))]
-    {
-        let code = match mode {
-            WorkerChaos::CorruptDuals => 1,
-            WorkerChaos::FlipVerdict => 2,
-            WorkerChaos::Stall => 3,
-            WorkerChaos::Disconnect => 4,
-        };
-        WORKER_CHAOS_MODE.store(code, Ordering::SeqCst);
-        WORKER_CHAOS_BUDGET.store(budget, Ordering::SeqCst);
-    }
-    #[cfg(not(any(debug_assertions, feature = "chaos")))]
-    let _ = (mode, budget);
-}
-
 /// Arms chaos faults from environment variables — the only way a
 /// *spawned* process can be given faults. Recognized:
 ///
@@ -112,9 +66,6 @@ pub fn set_worker_chaos(mode: WorkerChaos, budget: u64) {
 ///   the next `n` job pickups (server).
 /// * `RAVEN_SERVE_CHAOS_TAMPER_CERTS=<n>` — tamper the next `n` emitted
 ///   certificates before the spot check (server).
-/// * `RAVEN_WORKER_CHAOS=<mode>[:<n>]` — Byzantine worker mode
-///   (`corrupt-duals`, `flip-verdict`, `stall`, `disconnect`) for the
-///   next `n` jobs (default: unlimited).
 ///
 /// Call once at binary startup; no-op when the variables are unset or
 /// chaos is compiled out.
@@ -131,22 +82,6 @@ pub fn arm_from_env() {
     {
         set_tamper_next_certs(n);
     }
-    if let Ok(spec) = std::env::var("RAVEN_WORKER_CHAOS") {
-        let (mode, budget) = match spec.split_once(':') {
-            Some((m, n)) => (m, n.parse().unwrap_or(u64::MAX)),
-            None => (spec.as_str(), u64::MAX),
-        };
-        let mode = match mode {
-            "corrupt-duals" => Some(WorkerChaos::CorruptDuals),
-            "flip-verdict" => Some(WorkerChaos::FlipVerdict),
-            "stall" => Some(WorkerChaos::Stall),
-            "disconnect" => Some(WorkerChaos::Disconnect),
-            _ => None,
-        };
-        if let Some(mode) = mode {
-            set_worker_chaos(mode, budget);
-        }
-    }
 }
 
 /// Clears all injected service faults.
@@ -154,11 +89,6 @@ pub fn clear() {
     set_panic_next_jobs(0);
     set_abort_next_jobs(0);
     set_tamper_next_certs(0);
-    #[cfg(any(debug_assertions, feature = "chaos"))]
-    {
-        WORKER_CHAOS_MODE.store(0, Ordering::SeqCst);
-        WORKER_CHAOS_BUDGET.store(0, Ordering::SeqCst);
-    }
 }
 
 /// Called at the top of every verification job body; panics while a
@@ -212,32 +142,10 @@ pub(crate) fn take_cert_tamper() -> bool {
     false
 }
 
-/// Consumes one Byzantine-worker token, returning the armed mode.
-#[inline]
-pub(crate) fn take_worker_chaos() -> Option<WorkerChaos> {
-    #[cfg(any(debug_assertions, feature = "chaos"))]
-    {
-        if WORKER_CHAOS_BUDGET.load(Ordering::Relaxed) > 0 {
-            let prev = WORKER_CHAOS_BUDGET.fetch_sub(1, Ordering::SeqCst);
-            if prev > 0 {
-                return match WORKER_CHAOS_MODE.load(Ordering::SeqCst) {
-                    1 => Some(WorkerChaos::CorruptDuals),
-                    2 => Some(WorkerChaos::FlipVerdict),
-                    3 => Some(WorkerChaos::Stall),
-                    4 => Some(WorkerChaos::Disconnect),
-                    _ => None,
-                };
-            }
-            WORKER_CHAOS_BUDGET.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-    None
-}
-
 /// Pushes every recorded relaxation lower line far above its activation
 /// (`li += 1e6`), so the exact analysis replay must reject the lines.
-/// Used by both tamper paths when the certificate has no LP section —
-/// analysis-tier certificates record only relaxation lines.
+/// Used when the certificate has no LP section — analysis-tier
+/// certificates record only relaxation lines.
 #[cfg(any(debug_assertions, feature = "chaos"))]
 fn corrupt_analysis_lines(cert: &mut raven_json::Json) -> bool {
     use raven_json::Json;
@@ -302,88 +210,4 @@ pub(crate) fn tamper_certificate(json: &mut raven_json::Json) {
     }
     #[cfg(not(any(debug_assertions, feature = "chaos")))]
     let _ = json;
-}
-
-/// Byzantine flip: forges the envelope's verdict fields (verified flag
-/// plus superficially consistent companions) while leaving the
-/// certificate untouched — the gate's bound-implication check must catch
-/// the mismatch.
-pub(crate) fn byzantine_flip(envelope: &mut raven_json::Json) {
-    #[cfg(any(debug_assertions, feature = "chaos"))]
-    {
-        use raven_json::Json;
-        let Json::Obj(fields) = envelope else { return };
-        let Some(result) = fields
-            .iter_mut()
-            .find(|(k, _)| k == "result")
-            .map(|(_, v)| v)
-        else {
-            return;
-        };
-        let Json::Obj(res) = result else { return };
-        let was_verified = res
-            .iter()
-            .find(|(k, _)| k == "verified")
-            .and_then(|(_, v)| v.as_bool())
-            .unwrap_or(false);
-        let k_count = res
-            .iter()
-            .find(|(k, _)| k == "k")
-            .and_then(|(_, v)| v.as_f64())
-            .unwrap_or(1.0);
-        let now_verified = !was_verified;
-        for (key, v) in res.iter_mut() {
-            match key.as_str() {
-                "verified" => *v = Json::from(now_verified),
-                "worst_case_accuracy" => {
-                    *v = Json::from(if now_verified { 1.0 } else { 0.0 });
-                }
-                "worst_case_hamming" => {
-                    *v = Json::from(if now_verified { 0.0 } else { k_count });
-                }
-                "certified_change" => {
-                    *v = Json::from(if now_verified { 1.0 } else { -1.0 });
-                }
-                _ => {}
-            }
-        }
-    }
-    #[cfg(not(any(debug_assertions, feature = "chaos")))]
-    let _ = envelope;
-}
-
-/// Byzantine proof corruption: zeroes every `duals` and `ray` array in
-/// the certificate (the claimed bound stays tight while the evidence
-/// collapses to the trivial box bound), and pushes analysis relaxation
-/// lines past their activations. Either way exact replay must reject.
-pub(crate) fn byzantine_corrupt_duals(cert: &mut raven_json::Json) {
-    #[cfg(any(debug_assertions, feature = "chaos"))]
-    {
-        use raven_json::Json;
-        fn walk(j: &mut Json, under_proof_key: bool) {
-            match j {
-                Json::Obj(fields) => {
-                    for (k, v) in fields.iter_mut() {
-                        walk(v, k == "duals" || k == "ray");
-                    }
-                }
-                Json::Arr(items) => {
-                    for v in items.iter_mut() {
-                        if under_proof_key {
-                            if v.as_f64().is_some() || v.as_str().is_some() {
-                                *v = Json::from(0.0);
-                            }
-                        } else {
-                            walk(v, false);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        walk(cert, false);
-        corrupt_analysis_lines(cert);
-    }
-    #[cfg(not(any(debug_assertions, feature = "chaos")))]
-    let _ = cert;
 }

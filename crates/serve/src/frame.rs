@@ -1,5 +1,4 @@
-//! The frame codec shared by the write-ahead journal and the fleet wire
-//! protocol. Every frame is
+//! The write-ahead journal's frame codec. Every frame is
 //!
 //! ```text
 //! [u32 LE payload length][u64 LE FNV-1a of payload][JSON payload]

@@ -25,9 +25,8 @@
 //! ## On-disk format
 //!
 //! A journal is a directory of segments `wal-<seq>.log`. Each record is
-//! one [`crate::frame`] (length, FNV-1a checksum, compact JSON payload),
-//! the same framing the fleet wire protocol uses. A torn or
-//! corrupt record ends replay of its segment — everything before it is
+//! one [`crate::frame`] (length, FNV-1a checksum, compact JSON payload).
+//! A torn or corrupt record ends replay of its segment — everything before it is
 //! kept, everything after is unreachable (append-only logs corrupt only
 //! at the tail under crash, so this loses at most the last record).
 //!
@@ -88,20 +87,23 @@ pub enum Record {
         /// Job id.
         id: u64,
     },
-    /// The job was shipped to a remote fleet worker. While a remote
-    /// attempt is outstanding the local process is just waiting on a
-    /// socket, so a crash in that window is not the job's fault: replay
-    /// subtracts it from the crash-signature weight (see
+    /// The job was shipped to a remote worker process. Only journals
+    /// written by older servers, which had a worker fleet, hold this
+    /// record; nothing writes it now, but replay still decodes it. While a
+    /// remote attempt was outstanding the local process was just waiting
+    /// on a socket, so a crash in that window is not the job's fault:
+    /// replay subtracts it from the crash-signature weight (see
     /// [`ReplayJob::crash_weight`]).
     RemoteAttempt {
         /// Job id.
         id: u64,
-        /// Fleet worker name (from its hello frame).
+        /// Remote worker name.
         worker: String,
     },
-    /// Every remote attempt failed (rejection, timeout, disconnect); the
-    /// job fell back to local compute, which *can* crash the process, so
-    /// the crash-signature weight goes back up.
+    /// Every remote attempt failed and the job fell back to local compute,
+    /// which *can* crash the process, so the crash-signature weight goes
+    /// back up. Like [`Record::RemoteAttempt`], decoded from older
+    /// journals and never written now.
     LocalFallback {
         /// Job id.
         id: u64,
@@ -250,10 +252,11 @@ impl Record {
                 key: key(),
             }),
             "started" => Some(Record::Started { id: id()? }),
-            // Journals written by the since-removed input-sharded dispatch
-            // hold per-shard attempts and fallbacks. They replay as the
-            // whole-job records they mirrored; read as unknown kinds they
-            // would end replay of their segment like corruption.
+            // Journals written by the since-removed worker fleet hold
+            // remote attempts and fallbacks, and those of its input-sharded
+            // dispatch per-shard ones. They replay as the whole-job records
+            // they mirrored; read as unknown kinds they would end replay of
+            // their segment like corruption.
             "remote_attempt" | "shard_attempt" => Some(Record::RemoteAttempt {
                 id: id()?,
                 worker: text("worker")?,
@@ -574,8 +577,8 @@ pub struct ReplayJob {
     /// Number of `Started` records (attempt count).
     pub starts: u32,
     /// Crash-signature weight: `Started` records not excused by an
-    /// outstanding remote attempt. A crash while a fleet worker held the
-    /// job says nothing about the job being poison — the local process
+    /// outstanding remote attempt (older journals only). A crash while a
+    /// remote worker held the job says nothing about the job being poison — the local process
     /// was only waiting on a socket — so a `RemoteAttempt` after a
     /// `Started` subtracts that start from the weight, and a
     /// `LocalFallback` (the job came back for local compute) adds it

@@ -30,7 +30,6 @@
 pub mod api;
 pub mod cache;
 pub mod chaos;
-pub mod fleet;
 pub mod frame;
 pub mod http;
 pub mod journal;
@@ -90,18 +89,13 @@ pub struct ServerConfig {
     /// (`--client-timeout-ms`). A stalled peer must not pin a connection
     /// thread forever.
     pub client_timeout: Duration,
-    /// Fleet listener bind address (`--fleet-addr`). `None` disables the
-    /// fleet entirely: no listener, all jobs solve locally.
-    pub fleet_addr: Option<String>,
-    /// Fleet dispatch tunables (timeouts, probation, strikes, retries).
-    pub fleet: fleet::FleetConfig,
     /// `--strict-certificates`: when an emitted certificate fails its own
     /// spot check, recompute the job instead of serving the unverifiable
     /// response.
     pub strict_certificates: bool,
     /// `--trace-slow-ms`: tail sampling always keeps requests at least
-    /// this slow (besides degraded / errored / retried /
-    /// certificate-rejected ones, which are always kept).
+    /// this slow (besides degraded / errored / retried ones, which are
+    /// always kept).
     pub trace_slow_ms: u64,
     /// `--trace-sample-rate`: probability of keeping an otherwise
     /// uninteresting (fast, clean) request's trace, in `[0, 1]`.
@@ -126,8 +120,6 @@ impl Default for ServerConfig {
             watchdog_grace: Duration::from_secs(2),
             job_retries: 0,
             client_timeout: Duration::from_secs(10),
-            fleet_addr: None,
-            fleet: fleet::FleetConfig::default(),
             strict_certificates: false,
             trace_slow_ms: 500,
             trace_sample_rate: 1.0,
@@ -165,12 +157,6 @@ pub struct ServerState {
     pub journal: Option<Arc<Journal>>,
     /// Idempotency-key → job id map (rebuilt from the journal on restart).
     pub idempotency: Mutex<HashMap<String, u64>>,
-    /// The worker fleet (`None` when no `--fleet-addr` was given).
-    pub fleet: Option<Arc<fleet::Fleet>>,
-    /// Resolved local worker-pool size, for the saturation-aware dispatch
-    /// gate (`--fleet-when-saturated`): remote dispatch is only preferred
-    /// when every local worker is busy or jobs are queued behind them.
-    pub pool_workers: usize,
     /// Recompute on spot-check failure instead of serving the response.
     pub strict_certificates: bool,
     /// Tail-sampled per-request traces behind `/v1/traces`.
@@ -286,10 +272,6 @@ impl Server {
             hooks,
         );
         let next_job_id = replay.as_ref().map_or(0, ReplayState::max_id) + 1;
-        let fleet_handle = match &config.fleet_addr {
-            Some(addr) => Some(Arc::new(fleet::Fleet::bind(addr, config.fleet.clone())?)),
-            None => None,
-        };
         let state = Arc::new(ServerState {
             registry,
             queue: queue.clone(),
@@ -303,8 +285,6 @@ impl Server {
             cancel: AtomicBool::new(false),
             journal: journal_handle.clone(),
             idempotency: Mutex::new(HashMap::new()),
-            fleet: fleet_handle,
-            pool_workers: raven::par::resolve_threads(config.workers),
             strict_certificates: config.strict_certificates,
             traces: Arc::new(trace::TraceStore::new(
                 trace::sampler_from(config.trace_slow_ms, config.trace_sample_rate),
@@ -326,12 +306,6 @@ impl Server {
             max_body_bytes: config.max_body_bytes,
             client_timeout: config.client_timeout,
         })
-    }
-
-    /// The bound fleet listener address, when a fleet is attached (read
-    /// the ephemeral port from here to point `raven_worker --connect` at).
-    pub fn fleet_addr(&self) -> Option<std::net::SocketAddr> {
-        self.state.fleet.as_ref().and_then(|f| f.local_addr().ok())
     }
 
     /// The bound address (read the ephemeral port from here).
@@ -361,11 +335,6 @@ impl Server {
     /// returns.
     pub fn run(self) {
         let active = Arc::new(AtomicUsize::new(0));
-        let fleet_acceptor = self
-            .state
-            .fleet
-            .as_ref()
-            .map(|fleet| fleet.spawn_acceptor(self.stop.clone()));
         while !self.stop.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -403,9 +372,6 @@ impl Server {
             std::thread::sleep(Duration::from_millis(5));
         }
         for handle in self.worker_handles {
-            let _ = handle.join();
-        }
-        if let Some(handle) = fleet_acceptor {
             let _ = handle.join();
         }
         // Workers are joined, so every terminal record is already
@@ -449,9 +415,9 @@ fn recover(state: &Arc<ServerState>, journal: &Journal, replay: &ReplayState) {
             }
             None if job.crash_weight >= 2 => {
                 // Poison: running at two separate process deaths while
-                // *locally* executing. Crashes that happened while the job
-                // was dispatched to a fleet worker are excused by their
-                // `RemoteAttempt` records — a remote solve cannot have
+                // *locally* executing. Crashes that happened while an older
+                // server had the job out on a remote worker are excused by
+                // their `RemoteAttempt` records — a remote solve cannot have
                 // crashed this process. Pin the verdict so later restarts
                 // don't re-count.
                 metrics::QUARANTINED_JOBS.inc();

@@ -58,40 +58,13 @@ pub static SPOT_CHECK_FAILURES: Counter = Counter::new();
 /// Spot-check failures answered by a strict-mode local recompute instead
 /// of serving the unverifiable response.
 pub static STRICT_RECOMPUTES: Counter = Counter::new();
-/// Fleet workers currently connected and not quarantined.
-pub static FLEET_WORKERS: Gauge = Gauge::new();
-/// Jobs shipped to a fleet worker (one per dispatch attempt).
-pub static FLEET_DISPATCHES: Counter = Counter::new();
-/// Remote results accepted after their certificate replayed cleanly and
-/// the replayed bound implied the claimed verdict.
-pub static FLEET_ACCEPTED: Counter = Counter::new();
-/// Remote results rejected by the certificate gate (replay failure,
-/// spec mismatch, or a bound that does not imply the claimed verdict).
-pub static FLEET_REJECTED: Counter = Counter::new();
-/// Dispatch attempts that timed out waiting for the worker's reply.
-pub static FLEET_TIMEOUTS: Counter = Counter::new();
-/// Dispatch attempts that died on a socket error or mid-frame disconnect.
-pub static FLEET_DISCONNECTS: Counter = Counter::new();
-/// Workers quarantined after repeated certificate rejections.
-pub static FLEET_QUARANTINED_WORKERS: Counter = Counter::new();
-/// Jobs that exhausted their remote attempts and ran on the local pool.
-pub static FLEET_LOCAL_FALLBACKS: Counter = Counter::new();
-/// Jobs whose served verdict came from an accepted remote result.
-pub static FLEET_REMOTE_SOLVES: Counter = Counter::new();
-/// Seconds per dispatch round trip (ship job, receive + gate the reply).
-pub static FLEET_DISPATCH_SECONDS: Histogram = Histogram::new();
-/// Fleet-eligible jobs kept on the local pool because it was idle
-/// (saturation-aware admission declined to dispatch remotely).
-pub static FLEET_KEPT_LOCAL: Counter = Counter::new();
 /// Traces retained by the tail sampler (slow/degraded/errored/sampled).
 pub static TRACES_SAMPLED: Counter = Counter::new();
 /// Traces discarded by the tail sampler (boring and below the rate).
 pub static TRACES_DROPPED: Counter = Counter::new();
-/// Remote worker spans stitched into local traces from result frames.
-pub static TRACES_REMOTE_SPANS: Counter = Counter::new();
 
 /// Exposition table for the service layer, in stable scrape order.
-pub static DESCS: [Desc; 36] = [
+pub static DESCS: [Desc; 24] = [
     Desc {
         name: "raven_serve_queue_depth",
         help: "Jobs waiting for a worker.",
@@ -225,72 +198,6 @@ pub static DESCS: [Desc; 36] = [
         metric: MetricRef::Counter(&STRICT_RECOMPUTES),
     },
     Desc {
-        name: "raven_serve_fleet_workers",
-        help: "Fleet workers currently connected and not quarantined.",
-        labels: "",
-        metric: MetricRef::Gauge(&FLEET_WORKERS),
-    },
-    Desc {
-        name: "raven_serve_fleet_dispatches_total",
-        help: "Jobs shipped to a fleet worker (one per dispatch attempt).",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_DISPATCHES),
-    },
-    Desc {
-        name: "raven_serve_fleet_accepted_total",
-        help: "Remote results accepted after certificate replay.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_ACCEPTED),
-    },
-    Desc {
-        name: "raven_serve_fleet_rejected_total",
-        help: "Remote results rejected by the certificate gate.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_REJECTED),
-    },
-    Desc {
-        name: "raven_serve_fleet_timeouts_total",
-        help: "Dispatch attempts that timed out awaiting the reply.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_TIMEOUTS),
-    },
-    Desc {
-        name: "raven_serve_fleet_disconnects_total",
-        help: "Dispatch attempts lost to socket errors or disconnects.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_DISCONNECTS),
-    },
-    Desc {
-        name: "raven_serve_fleet_quarantined_workers_total",
-        help: "Workers quarantined after repeated certificate rejections.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_QUARANTINED_WORKERS),
-    },
-    Desc {
-        name: "raven_serve_fleet_local_fallbacks_total",
-        help: "Jobs that exhausted remote attempts and ran locally.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_LOCAL_FALLBACKS),
-    },
-    Desc {
-        name: "raven_serve_fleet_remote_solves_total",
-        help: "Jobs whose served verdict came from an accepted remote result.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_REMOTE_SOLVES),
-    },
-    Desc {
-        name: "raven_serve_fleet_dispatch_seconds",
-        help: "Seconds per fleet dispatch round trip.",
-        labels: "",
-        metric: MetricRef::Histogram(&FLEET_DISPATCH_SECONDS),
-    },
-    Desc {
-        name: "raven_serve_fleet_kept_local_total",
-        help: "Fleet-eligible jobs kept local because the pool was idle.",
-        labels: "",
-        metric: MetricRef::Counter(&FLEET_KEPT_LOCAL),
-    },
-    Desc {
         name: "raven_serve_traces_total",
         help: "Tail-sampler decisions on finished request traces.",
         labels: r#"decision="sampled""#,
@@ -301,11 +208,5 @@ pub static DESCS: [Desc; 36] = [
         help: "Tail-sampler decisions on finished request traces.",
         labels: r#"decision="dropped""#,
         metric: MetricRef::Counter(&TRACES_DROPPED),
-    },
-    Desc {
-        name: "raven_serve_traces_remote_spans_total",
-        help: "Remote worker spans stitched into local traces.",
-        labels: "",
-        metric: MetricRef::Counter(&TRACES_REMOTE_SPANS),
     },
 ];

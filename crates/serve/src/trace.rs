@@ -39,7 +39,6 @@ const ATTRIBUTION: [(&str, &Counter); 5] = [
 #[derive(Clone, Copy, Debug)]
 struct AttributionSnapshot {
     values: [u64; ATTRIBUTION.len()],
-    fleet_rejected: u64,
 }
 
 impl AttributionSnapshot {
@@ -48,10 +47,7 @@ impl AttributionSnapshot {
         for (slot, (_, counter)) in values.iter_mut().zip(ATTRIBUTION.iter()) {
             *slot = counter.get();
         }
-        Self {
-            values,
-            fleet_rejected: metrics::FLEET_REJECTED.get(),
-        }
+        Self { values }
     }
 
     fn deltas(&self) -> Vec<(&'static str, u64)> {
@@ -169,7 +165,6 @@ impl JobTrace {
             degraded,
             errored: result.is_err(),
             retried: crate::queue::current_attempt() > 1,
-            certificate_rejected: metrics::FLEET_REJECTED.get() > self.snapshot.fleet_rejected,
         };
         let mut data = raven_obs::end_trace(self.ctx);
         let keep = store.sampler.keep(self.ctx.trace_id, &outcome);
@@ -184,7 +179,6 @@ impl JobTrace {
                 thread: "raven-serve".to_string(),
                 start_us: self.start_us,
                 dur_us: duration.as_micros() as u64,
-                remote: false,
                 fields: Vec::new(),
             });
             metrics::TRACES_SAMPLED.inc();
@@ -256,11 +250,6 @@ fn summary_json(trace: &StoredTrace) -> Json {
     ])
 }
 
-/// Serializes buffered records for a fleet result frame.
-pub(crate) fn records_to_json(records: &[TraceRecord]) -> Json {
-    Json::Arr(records.iter().map(record_json).collect())
-}
-
 fn record_json(rec: &TraceRecord) -> Json {
     let mut fields = vec![
         ("type", Json::from(rec.kind)),
@@ -270,7 +259,6 @@ fn record_json(rec: &TraceRecord) -> Json {
         ("thread", Json::from(rec.thread.as_str())),
         ("start_us", Json::from(rec.start_us as f64)),
         ("dur_us", Json::from(rec.dur_us as f64)),
-        ("remote", Json::from(rec.remote)),
     ];
     if !rec.fields.is_empty() {
         fields.push((
@@ -284,88 +272,6 @@ fn record_json(rec: &TraceRecord) -> Json {
         ));
     }
     Json::obj(fields)
-}
-
-/// Stitches records shipped home in a fleet result frame into the live
-/// trace buffer: span ids are re-minted (a worker's id sequence collides
-/// with ours), worker-root spans are re-parented under the dispatch span,
-/// timestamps are rebased onto the dispatch start, and thread labels are
-/// prefixed with the worker name. Returns how many records were stitched.
-pub(crate) fn stitch_remote_records(
-    ctx: TraceCtx,
-    worker: &str,
-    dispatch_span: u64,
-    base_us: u64,
-    spans: &Json,
-) -> usize {
-    let Json::Arr(items) = spans else {
-        return 0;
-    };
-    // First pass: re-mint every remote span id.
-    let mut id_map = std::collections::HashMap::new();
-    for item in items {
-        if let Some(id) = item.get("id").and_then(Json::as_f64) {
-            let id = id as u64;
-            if id != 0 {
-                id_map.entry(id).or_insert_with(raven_obs::next_span_id);
-            }
-        }
-    }
-    let effective_root = if dispatch_span != 0 {
-        dispatch_span
-    } else {
-        ctx.parent_span
-    };
-    let mut stitched = 0usize;
-    for item in items {
-        let Some(name) = item.get("name").and_then(Json::as_str) else {
-            continue;
-        };
-        let num = |key: &str| item.get(key).and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let kind = match item.get("type").and_then(Json::as_str) {
-            Some("event") => "event",
-            _ => "span",
-        };
-        let parent = num("parent");
-        let fields = match item.get("fields") {
-            Some(Json::Obj(kvs)) => kvs
-                .iter()
-                .map(|(k, v)| {
-                    (
-                        k.clone(),
-                        v.as_str()
-                            .map(str::to_string)
-                            .unwrap_or_else(|| v.to_string()),
-                    )
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        raven_obs::record_into(
-            ctx,
-            TraceRecord {
-                kind,
-                name: name.to_string(),
-                id: id_map.get(&num("id")).copied().unwrap_or(0),
-                // A worker-root record hangs under the dispatch span; an
-                // interior one follows its (re-minted) remote parent.
-                parent: id_map.get(&parent).copied().unwrap_or(effective_root),
-                thread: format!(
-                    "{worker}/{}",
-                    item.get("thread").and_then(Json::as_str).unwrap_or("?")
-                ),
-                start_us: base_us.saturating_add(num("start_us")),
-                dur_us: num("dur_us"),
-                remote: true,
-                fields,
-            },
-        );
-        stitched += 1;
-    }
-    if stitched > 0 {
-        metrics::TRACES_REMOTE_SPANS.add(stitched as u64);
-    }
-    stitched
 }
 
 /// Renders a stored trace as native JSONL: one meta line, then one line
@@ -401,7 +307,7 @@ pub(crate) fn render_jsonl(trace: &StoredTrace) -> String {
 /// Renders a stored trace in the Chrome trace-event format (load it in
 /// `chrome://tracing` or Perfetto): complete (`X`) events for spans,
 /// instant (`i`) events for trace events, and `thread_name` metadata per
-/// distinct thread label (remote threads keep their `worker/` prefix).
+/// distinct thread label.
 pub(crate) fn render_chrome(trace: &StoredTrace) -> Json {
     let mut events: Vec<Json> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
@@ -418,10 +324,6 @@ pub(crate) fn render_chrome(trace: &StoredTrace) -> Json {
         let t = tid(&rec.thread, &mut labels);
         let mut fields = vec![
             ("name", Json::from(rec.name.as_str())),
-            (
-                "cat",
-                Json::from(if rec.remote { "remote" } else { "local" }),
-            ),
             ("ph", Json::from(if rec.kind == "span" { "X" } else { "i" })),
             ("ts", Json::from(rec.start_us as f64)),
             ("pid", Json::from(1.0)),
@@ -479,7 +381,6 @@ mod tests {
             thread: "t0".to_string(),
             start_us: 10,
             dur_us: 5,
-            remote: false,
             fields: Vec::new(),
         }
     }
@@ -550,51 +451,6 @@ mod tests {
         assert!(events
             .iter()
             .all(|e| e.get("ph").and_then(Json::as_str) != Some("X") || e.get("dur").is_some()));
-    }
-
-    #[test]
-    fn stitching_remints_ids_and_reparents_roots() {
-        let ctx = raven_obs::begin_trace(55, 3);
-        let frame = Json::Arr(vec![
-            Json::obj([
-                ("type", Json::from("span")),
-                ("name", Json::from("solve")),
-                ("id", Json::from(2.0)),
-                ("parent", Json::from(1.0)),
-                ("thread", Json::from("main")),
-                ("start_us", Json::from(4.0)),
-                ("dur_us", Json::from(6.0)),
-            ]),
-            Json::obj([
-                ("type", Json::from("span")),
-                ("name", Json::from("remote_job")),
-                ("id", Json::from(1.0)),
-                ("parent", Json::from(0.0)),
-                ("thread", Json::from("main")),
-                ("start_us", Json::from(0.0)),
-                ("dur_us", Json::from(9.0)),
-            ]),
-        ]);
-        let stitched = stitch_remote_records(ctx, "w1", 77, 1000, &frame);
-        assert_eq!(stitched, 2);
-        let data = raven_obs::end_trace(ctx);
-        assert_eq!(data.records.len(), 2);
-        let root = data
-            .records
-            .iter()
-            .find(|r| r.name == "remote_job")
-            .expect("root present");
-        let child = data
-            .records
-            .iter()
-            .find(|r| r.name == "solve")
-            .expect("child present");
-        assert_eq!(root.parent, 77, "worker root hangs under dispatch span");
-        assert_eq!(child.parent, root.id, "interior parent remapped");
-        assert_ne!(root.id, 1, "ids re-minted");
-        assert!(root.remote && child.remote);
-        assert_eq!(root.thread, "w1/main");
-        assert_eq!(root.start_us, 1000, "timestamps rebased");
     }
 
     #[test]

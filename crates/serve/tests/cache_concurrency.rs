@@ -39,7 +39,6 @@ fn verdict_for(thread: usize, round: usize) -> CachedResult {
         verdict: format!("{{\"thread\":{thread},\"round\":{round}}}"),
         solve_millis: thread as f64,
         tier_millis: TierMillis::default(),
-        certificate: None,
     }
 }
 

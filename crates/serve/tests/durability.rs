@@ -46,7 +46,6 @@ fn journal_dir(test: &str) -> PathBuf {
 struct ServerProc {
     child: Child,
     addr: Option<SocketAddr>,
-    fleet_addr: Option<SocketAddr>,
 }
 
 impl ServerProc {
@@ -73,12 +72,8 @@ impl ServerProc {
         let stderr = child.stderr.take().expect("piped stderr");
         let mut lines = BufReader::new(stderr).lines();
         let mut addr = None;
-        let mut fleet_addr = None;
         for line in &mut lines {
             let line = line.expect("read child stderr");
-            if let Some(rest) = line.strip_prefix("raven-serve fleet listening on ") {
-                fleet_addr = Some(rest.trim().parse().expect("parse fleet addr"));
-            }
             if let Some(rest) = line.strip_prefix("raven-serve listening on http://") {
                 addr = Some(rest.trim().parse().expect("parse listen addr"));
                 break;
@@ -86,19 +81,11 @@ impl ServerProc {
         }
         // Keep draining stderr so the child never blocks on a full pipe.
         std::thread::spawn(move || for _ in lines {});
-        ServerProc {
-            child,
-            addr,
-            fleet_addr,
-        }
+        ServerProc { child, addr }
     }
 
     fn addr(&self) -> SocketAddr {
         self.addr.expect("server reached the listening state")
-    }
-
-    fn fleet_addr(&self) -> SocketAddr {
-        self.fleet_addr.expect("server has a fleet listener")
     }
 
     /// SIGKILL — the crash the journal exists for.
@@ -384,75 +371,56 @@ fn a_job_that_crashes_the_server_twice_is_quarantined() {
     assert_eq!(state, "quarantined");
 }
 
-/// Satellite: a `RemoteAttempt` with no matching terminal record excuses
-/// the crash signature — the work was in remote hands when the process
-/// died, so the job is not evidence of a poisoned input. The job must
-/// re-enqueue on recovery, and a *second*, genuinely local crash still
-/// leaves the weight below the quarantine threshold (2): the job
-/// completes on the third boot instead of being quarantined.
+/// Journals written by older servers, which could dispatch jobs to remote
+/// worker processes, still recover as they did. The journal is written
+/// here as those servers wrote it, raw frame by raw frame:
+/// * job 1 ends Submitted/Started/`remote_attempt` with no terminal. The
+///   crash happened while the work was in remote hands, so it is excused:
+///   the job re-enqueues on recovery, and a *second*, genuinely local crash
+///   still leaves the weight below the quarantine threshold (2) — the job
+///   completes on the third boot instead of being quarantined;
+/// * job 2 carries input-sharded `shard_attempt`/`shard_fallback`/
+///   `shard_attempt` frames, which excuse its crash the same way;
+/// * job 3 came back from its remote attempt (`local_fallback`) and was
+///   started locally again: two unexcused crashes, so it is quarantined.
 #[test]
 fn remote_attempt_without_terminal_record_reenqueues_instead_of_quarantining() {
     let dir = journal_dir("remote-excuse");
-    let fleet_args = [
-        "--workers",
-        "1",
-        "--fleet-addr",
-        "127.0.0.1:0",
-        // Long dispatch patience: the stalled worker holds the job in
-        // remote hands until the kill lands.
-        "--fleet-timeout-ms",
-        "60000",
-    ];
-
-    // Crash #1: SIGKILL while a stall-chaos fleet worker holds the job —
-    // the journal ends Submitted/Started/RemoteAttempt, no terminal.
-    let mut server = ServerProc::spawn(&dir, &fleet_args, &[]);
-    let addr = server.addr();
-    let mut worker = Command::new(env!("CARGO_BIN_EXE_raven_worker"))
-        .arg("--connect")
-        .arg(server.fleet_addr().to_string())
-        .arg("--models-dir")
-        .arg(repo_path("models"))
-        .arg("--name")
-        .arg("excuse-staller")
-        .env("RAVEN_WORKER_CHAOS", "stall")
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn raven_worker");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let (_, health) = request(addr, "GET", "/v1/healthz", "");
-        let connected = health
-            .get("fleet")
-            .and_then(|f| f.get("workers"))
-            .and_then(Json::as_array)
-            .map(|ws| {
-                ws.iter()
-                    .any(|w| w.get("connected").and_then(Json::as_bool) == Some(true))
-            })
-            .unwrap_or(false);
-        if connected {
-            break;
-        }
-        assert!(Instant::now() < deadline, "worker never joined the fleet");
-        std::thread::sleep(Duration::from_millis(25));
+    let record = |fields: Vec<(&str, Json)>| raven_serve::frame::encode(&Json::obj(fields));
+    let id = |n: usize| ("id", Json::from(n));
+    let mut wal = Vec::new();
+    for (n, method) in [(1, "raven"), (2, "deeppoly"), (3, "deeppoly")] {
+        wal.extend(record(vec![
+            ("t", Json::from("submitted")),
+            id(n),
+            ("property", Json::from("uap")),
+            (
+                "body",
+                Json::from(with_property(&uap_body(0.01, method, &[]), "uap")),
+            ),
+        ]));
+        wal.extend(record(vec![("t", Json::from("started")), id(n)]));
     }
-    let id = submit_job(addr, &with_property(&uap_body(0.01, "raven", &[]), "uap"));
-    wait_for_status(addr, id, "running");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while metric(addr, "raven_serve_fleet_dispatches_total") < 1.0 {
-        assert!(Instant::now() < deadline, "job never reached the fleet");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    server.kill_nine();
-    let _ = worker.kill();
-    let _ = worker.wait();
+    let attempt = |t: &str, n: usize| {
+        record(vec![
+            ("t", Json::from(t)),
+            id(n),
+            ("worker", Json::from("w-1")),
+        ])
+    };
+    wal.extend(attempt("remote_attempt", 1));
+    wal.extend(attempt("shard_attempt", 2));
+    wal.extend(record(vec![("t", Json::from("shard_fallback")), id(2)]));
+    wal.extend(attempt("shard_attempt", 2));
+    wal.extend(attempt("remote_attempt", 3));
+    wal.extend(record(vec![("t", Json::from("local_fallback")), id(3)]));
+    wal.extend(record(vec![("t", Json::from("started")), id(3)]));
+    std::fs::write(dir.join("wal-00000001.log"), wal).expect("write old journal");
 
-    // Crash #2: recovery re-enqueues the job (the remote attempt excused
-    // crash #1); the armed chaos abort kills the process locally the
-    // moment a worker picks the job up — a real, unexcused crash.
+    // Crash #2: recovery quarantines job 3 and re-enqueues jobs 1 and 2
+    // (their remote attempts excused crash #1); the armed chaos abort
+    // kills the process locally the moment a worker picks job 1 up — a
+    // real, unexcused crash.
     let mut crasher = ServerProc::spawn(
         &dir,
         &["--workers", "1"],
@@ -461,13 +429,17 @@ fn remote_attempt_without_terminal_record_reenqueues_instead_of_quarantining() {
     let status = crasher.wait_exit(Duration::from_secs(30));
     assert!(!status.success(), "chaos abort must crash the process");
 
-    // Third boot: weight is 1 (crash #1 excused, crash #2 counted) — the
-    // job is re-enqueued, not quarantined, and completes.
+    // Third boot: job 1's weight is 1 (crash #1 excused, crash #2 counted)
+    // and job 2's is 0 — both are re-enqueued, not quarantined, and
+    // complete. Job 3's quarantine was pinned by the previous boot.
     let revived = ServerProc::spawn(&dir, &["--workers", "1"], &[]);
     let addr = revived.addr();
     assert_eq!(metric(addr, "raven_serve_quarantined_jobs_total"), 0.0);
-    assert!(metric(addr, "raven_serve_recovered_jobs_total") >= 1.0);
-    wait_for_status(addr, id, "done");
+    assert!(metric(addr, "raven_serve_recovered_jobs_total") >= 2.0);
+    wait_for_status(addr, 1, "done");
+    wait_for_status(addr, 2, "done");
+    let (state, job) = job_status(addr, 3);
+    assert_eq!(state, "quarantined", "{job}");
 }
 
 #[test]

@@ -7,13 +7,18 @@
 //! 3. the server's `result` object is byte-identical to `raven_cli
 //!    verify-uap --json` for the same query;
 //! 4. graceful shutdown drains in-flight jobs and still answers them.
+//!
+//! The `--client-timeout-ms` and `--strict-certificates` tests drive a
+//! spawned `raven_serve` process instead (`CARGO_BIN_EXE_raven_serve`,
+//! SIGKILLed on drop), since chaos faults reach it through its environment.
 
 use raven_json::Json;
 use raven_serve::registry::ModelRegistry;
 use raven_serve::{Server, ServerConfig, ShutdownHandle};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -31,6 +36,54 @@ fn start_server(config: ServerConfig) -> (SocketAddr, ShutdownHandle, std::threa
     let shutdown = server.shutdown_handle();
     let runner = std::thread::spawn(move || server.run());
     (addr, shutdown, runner)
+}
+
+/// A spawned `raven_serve` process over `models/`, SIGKILLed on drop so a
+/// failing assertion cannot leak it.
+struct ServerProc {
+    child: Child,
+    addr: SocketAddr,
+}
+
+impl ServerProc {
+    fn spawn(extra_args: &[&str], envs: &[(&str, &str)]) -> ServerProc {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_raven_serve"));
+        cmd.arg("--models-dir")
+            .arg(repo_path("models"))
+            .arg("--addr")
+            .arg("127.0.0.1:0")
+            .args(extra_args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped());
+        for (k, v) in envs {
+            cmd.env(k, v);
+        }
+        let mut child = cmd.spawn().expect("spawn raven_serve");
+        let stderr = child.stderr.take().expect("piped stderr");
+        let mut lines = BufReader::new(stderr).lines();
+        let mut addr = None;
+        for line in &mut lines {
+            let line = line.expect("read child stderr");
+            if let Some(rest) = line.strip_prefix("raven-serve listening on http://") {
+                addr = Some(rest.trim().parse().expect("parse listen addr"));
+                break;
+            }
+        }
+        // Keep draining stderr so the child never blocks on a full pipe.
+        std::thread::spawn(move || for _ in lines {});
+        ServerProc {
+            child,
+            addr: addr.expect("server reached the listening state"),
+        }
+    }
+}
+
+impl Drop for ServerProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 /// Minimal HTTP client: one request, returns `(status, head, raw body)`.
@@ -65,6 +118,23 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json
     let parsed =
         Json::parse(&json_body).unwrap_or_else(|e| panic!("unparseable body {json_body:?}: {e}"));
     (status, parsed)
+}
+
+/// The value of one unlabeled sample in the `/v1/metrics` scrape.
+fn metric(addr: SocketAddr, name: &str) -> f64 {
+    let (status, _, text) = request_raw(addr, "GET", "/v1/metrics", "");
+    assert_eq!(status, 200);
+    text.lines()
+        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
+        .and_then(|l| l.rsplit_once(' '))
+        .map(|(_, v)| v.parse().unwrap())
+        .unwrap_or_else(|| panic!("metric {name} missing"))
+}
+
+fn healthz(addr: SocketAddr) -> Json {
+    let (status, health) = request(addr, "GET", "/v1/healthz", "");
+    assert_eq!(status, 200, "{health}");
+    health
 }
 
 /// Parses `models/demo_batch.txt` (label then coordinates per line).
@@ -493,4 +563,57 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
     // New connections are refused once the listener is gone.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// `--client-timeout-ms` bounds how long a stalled client can pin a
+/// connection thread (the old hard-coded value was 10 s).
+#[test]
+fn slow_client_is_answered_408_within_the_configured_timeout() {
+    let server = ServerProc::spawn(&["--client-timeout-ms", "300"], &[]);
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    // Send a partial head and stall: never finish the request.
+    stream
+        .write_all(b"POST /v1/verify/uap HTTP/1.1\r\n")
+        .expect("partial head");
+    let t0 = Instant::now();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).expect("read response");
+    let elapsed = t0.elapsed();
+    assert!(
+        text.starts_with("HTTP/1.1 408"),
+        "stalled client should get 408, got {text:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "timeout took {elapsed:?}, configured 300ms"
+    );
+}
+
+/// Under `--strict-certificates` a spot-check failure triggers a local
+/// recompute instead of serving the unverifiable response.
+#[test]
+fn strict_certificates_recomputes_on_spot_check_failure() {
+    let body = uap_body(0.03, "raven", &[("certificate", Json::from(true))]);
+    let server = ServerProc::spawn(
+        &["--workers", "1", "--strict-certificates"],
+        // Chaos tampers the first emitted certificate *before* the spot
+        // check sees it — simulating an emitter bug.
+        &[("RAVEN_SERVE_CHAOS_TAMPER_CERTS", "1")],
+    );
+    let (status, reply) = request(server.addr, "POST", "/v1/verify/uap", &body);
+    assert_eq!(status, 200, "{reply}");
+    // The recompute's (untampered) certificate is served.
+    assert!(!matches!(reply.get("certificate"), None | Some(Json::Null)));
+    assert!(metric(server.addr, "raven_serve_spot_check_failures_total") >= 1.0);
+    assert!(metric(server.addr, "raven_serve_strict_recomputes_total") >= 1.0);
+    let health = healthz(server.addr);
+    let failures = health
+        .get("stats")
+        .and_then(|s| s.get("spot_check_failures"))
+        .and_then(Json::as_f64)
+        .expect("spot_check_failures stat");
+    assert!(failures >= 1.0);
 }

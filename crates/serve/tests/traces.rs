@@ -1,5 +1,5 @@
-//! Distributed-tracing tests: trace context over HTTP, tail sampling,
-//! the `/v1/traces` surface, and cross-process span stitching.
+//! Tracing tests: trace context over HTTP, tail sampling, and the
+//! `/v1/traces` surface.
 //!
 //! The acceptance properties pinned here:
 //! 1. tracing is observe-only — the `result` object is byte-identical
@@ -7,10 +7,7 @@
 //!    ran on a differently-threaded server;
 //! 2. the tail sampler keeps slow and degraded requests at sample rate 0
 //!    while dropping fast boring ones;
-//! 3. a fleet-dispatched request comes back as ONE stitched trace: the
-//!    worker's spans appear under the server's `fleet_dispatch` span,
-//!    `remote:true`, with `worker/`-prefixed thread labels;
-//! 4. a span leaked by one job never becomes the parent of the next
+//! 3. a span leaked by one job never becomes the parent of the next
 //!    job's spans on the reused worker thread.
 
 use raven_json::Json;
@@ -363,142 +360,6 @@ fn tail_sampler_keeps_slow_and_degraded_drops_fast() {
 
     shutdown.shutdown();
     runner.join().expect("server");
-}
-
-/// A fleet-dispatched request yields ONE stitched trace: the worker's
-/// spans come home in the result frame and appear under the server's
-/// `fleet_dispatch` span as `remote:true` records with `worker/`-prefixed
-/// thread labels — and the remote verdict bytes match a local solve.
-#[test]
-fn fleet_remote_spans_stitch_into_one_trace() {
-    use raven_serve::fleet::{run_worker, WorkerOptions};
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static WORKER_STOP: AtomicBool = AtomicBool::new(false);
-
-    let registry = ModelRegistry::load_dir(&repo_path("models")).expect("load models dir");
-    let worker_registry = ModelRegistry::load_dir(&repo_path("models")).expect("load models dir");
-    let config = ServerConfig {
-        fleet_addr: Some("127.0.0.1:0".to_string()),
-        // The pool is idle here; disable saturation-aware admission so
-        // the request actually crosses the fleet wire.
-        fleet: raven_serve::fleet::FleetConfig {
-            when_saturated: false,
-            ..raven_serve::fleet::FleetConfig::default()
-        },
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(&config, registry).expect("bind fleet server");
-    let addr = server.local_addr().expect("server addr");
-    let fleet_addr = server.fleet_addr().expect("fleet addr");
-    let shutdown = server.shutdown_handle();
-    let server_thread = std::thread::spawn(move || server.run());
-    let worker_thread = std::thread::spawn(move || {
-        let opts = WorkerOptions {
-            connect: fleet_addr.to_string(),
-            name: "stitch-worker".to_string(),
-            registry: worker_registry,
-            job_threads: 1,
-            reconnect: Duration::from_millis(100),
-            cache_capacity: 64,
-            once: true,
-        };
-        let _ = run_worker(&opts, &WORKER_STOP);
-    });
-
-    // Wait until the worker has announced itself to the dispatcher.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let (_, health) = request(addr, "GET", "/v1/healthz", "");
-        let connected = health
-            .get("fleet")
-            .and_then(|f| f.get("workers"))
-            .and_then(Json::as_array)
-            .is_some_and(|ws| {
-                ws.iter()
-                    .any(|w| w.get("connected").and_then(Json::as_bool) == Some(true))
-            });
-        if connected {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "worker never connected: {health}"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // Fleet-eligible traced query (method `raven`, no delay).
-    let traceparent = "00-00000000000000000000000000fee17d-00000000000000ab-01";
-    let trace_id = "00000000000000000000000000fee17d";
-    let body = uap_body(0.03, "raven", &[]);
-    let (status, _, raw) = request_raw(
-        addr,
-        "POST",
-        "/v1/verify/uap",
-        &[("traceparent", traceparent)],
-        &body,
-    );
-    assert_eq!(status, 200, "{raw}");
-    let envelope = Json::parse(&raw).expect("fleet envelope");
-    let result_remote = envelope.get("result").expect("result").to_string();
-    let (_, _, metrics) = request_raw(addr, "GET", "/v1/metrics", &[], "");
-    assert!(
-        metrics
-            .lines()
-            .any(|l| l.starts_with("raven_serve_fleet_remote_solves_total") && !l.ends_with(" 0")),
-        "query was not solved remotely:\n{metrics}"
-    );
-
-    // One stitched trace: local dispatch span + remote worker records.
-    let lines = fetch_trace_jsonl(addr, trace_id);
-    let dispatch = lines[1..]
-        .iter()
-        .find(|l| l.get("name").and_then(Json::as_str) == Some("fleet_dispatch"))
-        .unwrap_or_else(|| panic!("no fleet_dispatch span: {lines:?}"));
-    let dispatch_id = dispatch
-        .get("id")
-        .and_then(Json::as_f64)
-        .expect("dispatch id");
-    let remote: Vec<&Json> = lines[1..]
-        .iter()
-        .filter(|l| l.get("remote").and_then(Json::as_bool) == Some(true))
-        .collect();
-    assert!(
-        !remote.is_empty(),
-        "no remote records shipped home: {lines:?}"
-    );
-    assert!(
-        remote.iter().all(|l| {
-            l.get("thread")
-                .and_then(Json::as_str)
-                .is_some_and(|t| t.starts_with("stitch-worker/"))
-        }),
-        "remote threads are worker-prefixed: {remote:?}"
-    );
-    assert!(
-        remote
-            .iter()
-            .any(|l| l.get("parent").and_then(Json::as_f64) == Some(dispatch_id)),
-        "remote roots hang off the dispatch span: {remote:?}"
-    );
-
-    // Observe-only across the wire too: local recompute matches.
-    shutdown.shutdown();
-    WORKER_STOP.store(true, Ordering::SeqCst);
-    server_thread.join().expect("server thread");
-    worker_thread.join().expect("worker thread");
-
-    let (addr_local, shutdown_local, runner_local) = start_server(ServerConfig::default());
-    let (status, local) = request(addr_local, "POST", "/v1/verify/uap", &body);
-    assert_eq!(status, 200);
-    assert_eq!(
-        local.get("result").expect("result").to_string(),
-        result_remote,
-        "remote and local verdict bytes differ"
-    );
-    shutdown_local.shutdown();
-    runner_local.join().expect("local server");
 }
 
 /// A span leaked inside one job (guard forgotten, never dropped) must not

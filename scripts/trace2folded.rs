@@ -11,11 +11,9 @@
 //! minus the duration of its direct children), aggregated across
 //! occurrences. Event records (`"type":"event"`) are ignored.
 //!
-//! Span lines may carry distributed-trace context: a `"trace":"<32 hex>"`
+//! Span lines may carry request-trace context: a `"trace":"<32 hex>"`
 //! trace id (present both in the process sink when a request context is
-//! installed and in `GET /v1/traces/{id}` JSONL exports) and a
-//! `"remote":true` marker on spans stitched in from fleet workers (their
-//! thread labels are already `worker/thread`-prefixed). `--trace <id>`
+//! installed and in `GET /v1/traces/{id}` JSONL exports). `--trace <id>`
 //! folds only the spans of one request.
 //!
 //! Single file, std only — compile and run with:

@@ -16,6 +16,11 @@
 //! Every coefficient is summed in a fixed order — over the previous layer
 //! in ascending index, starting from `0.0` — so the emitted LP is the same
 //! `f64` for `f64` on every run.
+//!
+//! The walk over the plan, and with it every row case, is written once,
+//! generic over a crate-private row sink: an [`LpProblem`] receives the
+//! variables and rows, while a row count only tallies them, for verdicts
+//! that report the LP's size without ever solving it.
 
 use raven_deeppoly::{relax_activation, DeepPolyAnalysis};
 use raven_diffpoly::DiffPolyAnalysis;
@@ -152,7 +157,7 @@ fn add_row(
 /// Dense per-variable sums for [`compose_affine`], indexed by
 /// `VarId::index()` and reused across rows, layers and executions.
 #[derive(Default)]
-struct Accumulator {
+pub(crate) struct Accumulator {
     sums: Vec<f64>,
     hit: Vec<bool>,
     touched: Vec<VarId>,
@@ -199,33 +204,183 @@ impl Accumulator {
     }
 }
 
+/// Where the encoder puts its variables and rows.
+///
+/// The encoder walks the plan once per execution and once per tracked pair
+/// and decides every row case itself; a sink only decides what a variable,
+/// an expression and a row are.
+pub(crate) trait RowSink {
+    /// Handle of an added variable.
+    type Var: Copy;
+    /// An affine expression, or as much of one as the sink needs.
+    type Expr;
+    /// Scratch space for [`RowSink::affine`], reused across the encoding.
+    type Scratch: Default;
+
+    /// The sink's form of a caller-provided input expression.
+    fn input(e: &Expr) -> Self::Expr;
+    /// The expression `1·v`.
+    fn var(v: Self::Var) -> Self::Expr;
+    /// The expression `a − b`.
+    fn link(a: Self::Var, b: Self::Var) -> Self::Expr;
+    /// Whether `e` has no variable terms.
+    fn is_constant(e: &Self::Expr) -> bool;
+    /// `weight · prev + bias`, one expression per output row.
+    fn affine(
+        weight: &Matrix,
+        bias: Option<&[f64]>,
+        prev: &[Self::Expr],
+        scratch: &mut Self::Scratch,
+    ) -> Vec<Self::Expr>;
+    /// Adds a variable over `[lo, hi]`.
+    fn add_var(&mut self, lo: f64, hi: f64) -> Self::Var;
+    /// Adds the row `target (sense) slope·expr + intercept`.
+    fn add_row(
+        &mut self,
+        target: Self::Var,
+        sense: Sense,
+        slope: f64,
+        intercept: f64,
+        expr: &Self::Expr,
+    );
+}
+
+impl RowSink for LpProblem {
+    type Var = VarId;
+    type Expr = Expr;
+    type Scratch = Accumulator;
+
+    fn input(e: &Expr) -> Expr {
+        e.clone()
+    }
+
+    fn var(v: VarId) -> Expr {
+        Expr::var(v)
+    }
+
+    fn link(a: VarId, b: VarId) -> Expr {
+        Expr::var(a).plus_var(-1.0, b)
+    }
+
+    fn is_constant(e: &Expr) -> bool {
+        e.is_constant()
+    }
+
+    fn affine(
+        weight: &Matrix,
+        bias: Option<&[f64]>,
+        prev: &[Expr],
+        acc: &mut Accumulator,
+    ) -> Vec<Expr> {
+        compose_affine(weight, bias, prev, acc)
+    }
+
+    fn add_var(&mut self, lo: f64, hi: f64) -> VarId {
+        LpProblem::add_var(self, lo, hi)
+    }
+
+    fn add_row(&mut self, target: VarId, sense: Sense, slope: f64, intercept: f64, expr: &Expr) {
+        add_row(self, target, sense, slope, intercept, expr);
+    }
+}
+
+/// The rows and variables an encoding adds, counted without composing any
+/// expression: each expression is reduced to whether it has variable terms.
+///
+/// The count equals what [`encode`] adds whenever a composed row cannot
+/// cancel to no terms. That holds for every layer after the first, whose
+/// inputs are distinct variables, and for a first layer whose pair input
+/// differences are constants, as in every shared-perturbation (UAP) batch,
+/// where `d` cancels.
+#[derive(Debug)]
+pub(crate) struct RowCount {
+    /// Rows counted so far.
+    pub(crate) rows: usize,
+    /// Variables counted so far.
+    pub(crate) vars: usize,
+}
+
+impl RowCount {
+    /// Starts from the rows and variables already in `lp`.
+    pub(crate) fn after(lp: &LpProblem) -> Self {
+        Self {
+            rows: lp.num_constraints(),
+            vars: lp.num_vars(),
+        }
+    }
+}
+
+impl RowSink for RowCount {
+    type Var = ();
+    /// Whether the expression has variable terms.
+    type Expr = bool;
+    type Scratch = ();
+
+    fn input(e: &Expr) -> bool {
+        !e.is_constant()
+    }
+
+    fn var((): ()) -> bool {
+        true
+    }
+
+    fn link((): (), (): ()) -> bool {
+        true
+    }
+
+    fn is_constant(e: &bool) -> bool {
+        !e
+    }
+
+    fn affine(weight: &Matrix, _bias: Option<&[f64]>, prev: &[bool], (): &mut ()) -> Vec<bool> {
+        (0..weight.rows())
+            .map(|i| {
+                weight
+                    .row(i)
+                    .iter()
+                    .zip(prev)
+                    .any(|(&w, &terms)| terms && w != 0.0)
+            })
+            .collect()
+    }
+
+    fn add_var(&mut self, _lo: f64, _hi: f64) {
+        self.vars += 1;
+    }
+
+    fn add_row(&mut self, (): (), _: Sense, _: f64, _: f64, _: &bool) {
+        self.rows += 1;
+    }
+}
+
 /// Per-execution variable map produced by the encoder.
 #[derive(Debug, Clone)]
-pub struct ExecVars {
+pub struct ExecVars<V = VarId> {
     /// One variable per neuron per activation layer (post-activation).
-    pub hidden: Vec<Vec<VarId>>,
+    pub hidden: Vec<Vec<V>>,
     /// Output logit variables.
-    pub outputs: Vec<VarId>,
+    pub outputs: Vec<V>,
 }
 
 /// Per-pair variable map (difference variables).
 #[derive(Debug, Clone)]
-pub struct PairVars {
+pub struct PairVars<V = VarId> {
     /// The tracked executions `(a, b)`.
     pub execs: (usize, usize),
     /// Difference variables per activation layer.
-    pub hidden: Vec<Vec<VarId>>,
+    pub hidden: Vec<Vec<V>>,
     /// Output difference variables.
-    pub outputs: Vec<VarId>,
+    pub outputs: Vec<V>,
 }
 
-/// The assembled relational encoding.
+/// The assembled relational encoding. `V` is the variable handle; [`encode`]
+/// returns [`VarId`]s.
 #[derive(Debug, Clone)]
-pub struct Encoding {
+pub struct Encoding<V = VarId> {
     /// Per-execution variables, in input order.
-    pub execs: Vec<ExecVars>,
+    pub execs: Vec<ExecVars<V>>,
     /// Per-pair difference variables (empty without difference tracking).
-    pub pairs: Vec<PairVars>,
+    pub pairs: Vec<PairVars<V>>,
 }
 
 /// Encodes `k` executions of `plan` (given their per-execution DeepPoly
@@ -243,6 +398,17 @@ pub fn encode(
     deeppoly: &[&DeepPolyAnalysis],
     diff_pairs: &[(usize, usize, &DiffPolyAnalysis)],
 ) -> Encoding {
+    encode_into(problem, plan, input_exprs, deeppoly, diff_pairs)
+}
+
+/// [`encode`] into any [`RowSink`].
+pub(crate) fn encode_into<S: RowSink>(
+    sink: &mut S,
+    plan: &AnalysisPlan,
+    input_exprs: &[Vec<Expr>],
+    deeppoly: &[&DeepPolyAnalysis],
+    diff_pairs: &[(usize, usize, &DiffPolyAnalysis)],
+) -> Encoding<S::Var> {
     let steps = plan.steps();
     assert!(
         matches!(steps.first(), Some(PlanStep::Affine { .. })),
@@ -253,14 +419,14 @@ pub fn encode(
         "encoder expects the plan to end with an affine step"
     );
     assert_eq!(input_exprs.len(), deeppoly.len(), "exec count mismatch");
-    let mut acc = Accumulator::default();
+    let mut scratch = S::Scratch::default();
     let k = input_exprs.len();
     let mut execs = Vec::with_capacity(k);
     for e in 0..k {
         execs.push(encode_exec(
-            problem,
+            sink,
             plan,
-            &mut acc,
+            &mut scratch,
             &input_exprs[e],
             deeppoly[e],
         ));
@@ -269,9 +435,9 @@ pub fn encode(
     for &(a, b, diff) in diff_pairs {
         assert!(a < k && b < k, "pair indices out of range");
         pairs.push(encode_pair(
-            problem,
+            sink,
             plan,
-            &mut acc,
+            &mut scratch,
             a,
             b,
             &input_exprs[a],
@@ -321,19 +487,19 @@ fn safe_bounds(iv: &Interval) -> (f64, f64) {
     (lo, hi)
 }
 
-fn encode_exec(
-    problem: &mut LpProblem,
+fn encode_exec<S: RowSink>(
+    sink: &mut S,
     plan: &AnalysisPlan,
-    acc: &mut Accumulator,
+    scratch: &mut S::Scratch,
     input_exprs: &[Expr],
     dp: &DeepPolyAnalysis,
-) -> ExecVars {
-    let mut prev: Vec<Expr> = input_exprs.to_vec();
-    let mut hidden: Vec<Vec<VarId>> = Vec::new();
+) -> ExecVars<S::Var> {
+    let mut prev: Vec<S::Expr> = input_exprs.iter().map(S::input).collect();
+    let mut hidden: Vec<Vec<S::Var>> = Vec::new();
     for (s, step) in plan.steps().iter().enumerate() {
         match step {
             PlanStep::Affine { weight, bias } => {
-                prev = compose_affine(weight, Some(bias), &prev, acc);
+                prev = S::affine(weight, Some(bias), &prev, scratch);
             }
             PlanStep::Act(kind) => {
                 let pre_bounds = &dp.bounds[s];
@@ -342,12 +508,12 @@ fn encode_exec(
                 for (n, pre_expr) in prev.iter().enumerate() {
                     let (plo, phi) = safe_bounds(&pre_bounds[n]);
                     let (hlo, hhi) = safe_bounds(&post_bounds[n]);
-                    let h = problem.add_var(hlo, hhi);
-                    encode_activation(problem, *kind, h, pre_expr, plo, phi);
+                    let h = sink.add_var(hlo, hhi);
+                    encode_activation(sink, *kind, h, pre_expr, plo, phi);
                     layer_vars.push(h);
                 }
-                hidden.push(layer_vars.clone());
-                prev = layer_vars.into_iter().map(Expr::var).collect();
+                prev = layer_vars.iter().map(|&h| S::var(h)).collect();
+                hidden.push(layer_vars);
             }
         }
     }
@@ -356,18 +522,18 @@ fn encode_exec(
     let mut outputs = Vec::with_capacity(prev.len());
     for (n, expr) in prev.iter().enumerate() {
         let (lo, hi) = safe_bounds(&out_bounds[n]);
-        let o = problem.add_var(lo, hi);
-        add_row(problem, o, Sense::Eq, 1.0, 0.0, expr);
+        let o = sink.add_var(lo, hi);
+        sink.add_row(o, Sense::Eq, 1.0, 0.0, expr);
         outputs.push(o);
     }
     ExecVars { hidden, outputs }
 }
 
-fn encode_activation(
-    problem: &mut LpProblem,
+fn encode_activation<S: RowSink>(
+    sink: &mut S,
     kind: ActKind,
-    h: VarId,
-    pre: &Expr,
+    h: S::Var,
+    pre: &S::Expr,
     plo: f64,
     phi: f64,
 ) {
@@ -375,14 +541,14 @@ fn encode_activation(
         ActKind::Relu => {
             if plo >= 0.0 {
                 // Stable active: h = pre.
-                add_row(problem, h, Sense::Eq, 1.0, 0.0, pre);
+                sink.add_row(h, Sense::Eq, 1.0, 0.0, pre);
             } else if phi <= 0.0 {
                 // Stable inactive: bounds already pin h to [0, 0].
             } else {
                 // Unstable: h ≥ pre, h ≥ 0 (bound), h ≤ λ·pre + μ.
-                add_row(problem, h, Sense::Ge, 1.0, 0.0, pre);
+                sink.add_row(h, Sense::Ge, 1.0, 0.0, pre);
                 let r = relax_activation(kind, plo, phi);
-                add_row(problem, h, Sense::Le, r.upper_slope, r.upper_intercept, pre);
+                sink.add_row(h, Sense::Le, r.upper_slope, r.upper_intercept, pre);
             }
         }
         ActKind::Sigmoid | ActKind::Tanh | ActKind::LeakyRelu | ActKind::HardTanh => {
@@ -392,45 +558,45 @@ fn encode_activation(
             let r = relax_activation(kind, plo, phi);
             let exact = r.lower_slope == r.upper_slope && r.lower_intercept == r.upper_intercept;
             if exact {
-                add_row(problem, h, Sense::Eq, r.lower_slope, r.lower_intercept, pre);
+                sink.add_row(h, Sense::Eq, r.lower_slope, r.lower_intercept, pre);
             } else {
-                add_row(problem, h, Sense::Ge, r.lower_slope, r.lower_intercept, pre);
-                add_row(problem, h, Sense::Le, r.upper_slope, r.upper_intercept, pre);
+                sink.add_row(h, Sense::Ge, r.lower_slope, r.lower_intercept, pre);
+                sink.add_row(h, Sense::Le, r.upper_slope, r.upper_intercept, pre);
             }
         }
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn encode_pair(
-    problem: &mut LpProblem,
+fn encode_pair<S: RowSink>(
+    sink: &mut S,
     plan: &AnalysisPlan,
-    acc: &mut Accumulator,
+    scratch: &mut S::Scratch,
     a: usize,
     b: usize,
     input_a: &[Expr],
     input_b: &[Expr],
-    exec_a: &ExecVars,
-    exec_b: &ExecVars,
+    exec_a: &ExecVars<S::Var>,
+    exec_b: &ExecVars<S::Var>,
     diff: &DiffPolyAnalysis,
-) -> PairVars {
+) -> PairVars<S::Var> {
     // Input difference expressions (often pure constants for UAP).
-    let mut prev: Vec<Expr> = input_a
+    let mut prev: Vec<S::Expr> = input_a
         .iter()
         .zip(input_b)
         .map(|(ea, eb)| {
             let mut e = ea.clone();
             e.add_scaled(-1.0, eb);
-            e
+            S::input(&e)
         })
         .collect();
-    let mut hidden: Vec<Vec<VarId>> = Vec::new();
+    let mut hidden: Vec<Vec<S::Var>> = Vec::new();
     let mut act_layer = 0usize;
     for (s, step) in plan.steps().iter().enumerate() {
         match step {
             PlanStep::Affine { weight, .. } => {
                 // Bias cancels in the difference.
-                prev = compose_affine(weight, None, &prev, acc);
+                prev = S::affine(weight, None, &prev, scratch);
             }
             PlanStep::Act(_) => {
                 let relax = diff.relaxations[s]
@@ -440,49 +606,28 @@ fn encode_pair(
                 let mut layer_vars = Vec::with_capacity(prev.len());
                 for (n, dpre) in prev.iter().enumerate() {
                     let (lo, hi) = safe_bounds(&post[n]);
-                    let dv = problem.add_var(lo, hi);
+                    let dv = sink.add_var(lo, hi);
                     // Linking equality Δ = h_a − h_b.
-                    let link = Expr::var(exec_a.hidden[act_layer][n])
-                        .plus_var(-1.0, exec_b.hidden[act_layer][n]);
-                    add_row(problem, dv, Sense::Eq, 1.0, 0.0, &link);
+                    let link = S::link(exec_a.hidden[act_layer][n], exec_b.hidden[act_layer][n]);
+                    sink.add_row(dv, Sense::Eq, 1.0, 0.0, &link);
                     // δ-space cross-execution lines.
                     let r = &relax[n];
                     let same_line =
                         r.lower_slope == r.upper_slope && r.lower_intercept == r.upper_intercept;
                     if same_line {
-                        if r.lower_slope != 0.0 || r.lower_intercept != 0.0 || !dpre.is_constant() {
-                            add_row(
-                                problem,
-                                dv,
-                                Sense::Eq,
-                                r.lower_slope,
-                                r.lower_intercept,
-                                dpre,
-                            );
+                        if r.lower_slope != 0.0 || r.lower_intercept != 0.0 || !S::is_constant(dpre)
+                        {
+                            sink.add_row(dv, Sense::Eq, r.lower_slope, r.lower_intercept, dpre);
                         }
                         // Exact zero with constant input: bounds suffice.
                     } else {
-                        add_row(
-                            problem,
-                            dv,
-                            Sense::Ge,
-                            r.lower_slope,
-                            r.lower_intercept,
-                            dpre,
-                        );
-                        add_row(
-                            problem,
-                            dv,
-                            Sense::Le,
-                            r.upper_slope,
-                            r.upper_intercept,
-                            dpre,
-                        );
+                        sink.add_row(dv, Sense::Ge, r.lower_slope, r.lower_intercept, dpre);
+                        sink.add_row(dv, Sense::Le, r.upper_slope, r.upper_intercept, dpre);
                     }
                     layer_vars.push(dv);
                 }
-                hidden.push(layer_vars.clone());
-                prev = layer_vars.into_iter().map(Expr::var).collect();
+                prev = layer_vars.iter().map(|&dv| S::var(dv)).collect();
+                hidden.push(layer_vars);
                 act_layer += 1;
             }
         }
@@ -493,10 +638,10 @@ fn encode_pair(
     let mut outputs = Vec::with_capacity(prev.len());
     for (n, expr) in prev.iter().enumerate() {
         let (lo, hi) = safe_bounds(&out_bounds[n]);
-        let dv = problem.add_var(lo, hi);
-        add_row(problem, dv, Sense::Eq, 1.0, 0.0, expr);
-        let link = Expr::var(exec_a.outputs[n]).plus_var(-1.0, exec_b.outputs[n]);
-        add_row(problem, dv, Sense::Eq, 1.0, 0.0, &link);
+        let dv = sink.add_var(lo, hi);
+        sink.add_row(dv, Sense::Eq, 1.0, 0.0, expr);
+        let link = S::link(exec_a.outputs[n], exec_b.outputs[n]);
+        sink.add_row(dv, Sense::Eq, 1.0, 0.0, &link);
         outputs.push(dv);
     }
     PairVars {
@@ -509,9 +654,11 @@ fn encode_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PairStrategy;
     use raven_interval::linf_ball;
     use raven_lp::Direction;
     use raven_nn::NetworkBuilder;
+    use raven_tensor::Rng;
 
     fn setup(kind: ActKind) -> (AnalysisPlan, raven_nn::Network, Vec<Vec<f64>>, f64) {
         let net = NetworkBuilder::new(3)
@@ -526,14 +673,21 @@ mod tests {
         (plan, net, centers, 0.04)
     }
 
-    /// Builds the UAP-style encoding: shared perturbation variables plus one
-    /// execution per center.
-    fn build_uap_encoding(
+    /// The analyses of a UAP-style encoding: an LP holding the shared
+    /// perturbation variables, one input expression `z + d` per center,
+    /// DeepPoly per execution and DiffPoly per pair in `pairs`.
+    #[allow(clippy::type_complexity)]
+    fn uap_analyses(
         plan: &AnalysisPlan,
         centers: &[Vec<f64>],
         eps: f64,
-        with_pairs: bool,
-    ) -> (LpProblem, Encoding, Vec<DeepPolyAnalysis>) {
+        pairs: &[(usize, usize)],
+    ) -> (
+        LpProblem,
+        Vec<Vec<Expr>>,
+        Vec<DeepPolyAnalysis>,
+        Vec<(usize, usize, DiffPolyAnalysis)>,
+    ) {
         let mut problem = LpProblem::new();
         let d_vars: Vec<VarId> = (0..plan.input_dim())
             .map(|_| problem.add_var(-eps, eps))
@@ -553,21 +707,139 @@ mod tests {
                 DeepPolyAnalysis::run(plan, &linf_ball(z, eps, f64::NEG_INFINITY, f64::INFINITY))
             })
             .collect();
+        let diffs = pairs
+            .iter()
+            .map(|&(a, b)| {
+                let delta: Vec<Interval> = centers[a]
+                    .iter()
+                    .zip(&centers[b])
+                    .map(|(&za, &zb)| Interval::point(za - zb))
+                    .collect();
+                (a, b, DiffPolyAnalysis::run(plan, &dps[a], &dps[b], &delta))
+            })
+            .collect();
+        (problem, input_exprs, dps, diffs)
+    }
+
+    /// Builds the UAP-style encoding: shared perturbation variables plus one
+    /// execution per center.
+    fn build_uap_encoding(
+        plan: &AnalysisPlan,
+        centers: &[Vec<f64>],
+        eps: f64,
+        with_pairs: bool,
+    ) -> (LpProblem, Encoding, Vec<DeepPolyAnalysis>) {
+        let pairs: &[(usize, usize)] = if with_pairs { &[(0, 1)] } else { &[] };
+        let (mut problem, input_exprs, dps, diffs) = uap_analyses(plan, centers, eps, pairs);
         let dp_refs: Vec<&DeepPolyAnalysis> = dps.iter().collect();
-        let diffs: Vec<DiffPolyAnalysis> = if with_pairs {
-            let delta: Vec<Interval> = centers[0]
-                .iter()
-                .zip(&centers[1])
-                .map(|(&a, &b)| Interval::point(a - b))
-                .collect();
-            vec![DiffPolyAnalysis::run(plan, &dps[0], &dps[1], &delta)]
-        } else {
-            Vec::new()
-        };
         let pair_refs: Vec<(usize, usize, &DiffPolyAnalysis)> =
-            diffs.iter().map(|d| (0, 1, d)).collect();
+            diffs.iter().map(|(a, b, d)| (*a, *b, d)).collect();
         let encoding = encode(&mut problem, plan, &input_exprs, &dp_refs, &pair_refs);
         (problem, encoding, dps)
+    }
+
+    /// `(rows, vars)` of the UAP encoding as [`encode`] builds it and as
+    /// [`RowCount`] counts it, on the same analyses.
+    fn built_and_counted(
+        plan: &AnalysisPlan,
+        centers: &[Vec<f64>],
+        eps: f64,
+        pairs: &[(usize, usize)],
+    ) -> ((usize, usize), (usize, usize)) {
+        let (mut problem, input_exprs, dps, diffs) = uap_analyses(plan, centers, eps, pairs);
+        let dp_refs: Vec<&DeepPolyAnalysis> = dps.iter().collect();
+        let pair_refs: Vec<(usize, usize, &DiffPolyAnalysis)> =
+            diffs.iter().map(|(a, b, d)| (*a, *b, d)).collect();
+        let mut count = RowCount::after(&problem);
+        encode_into(&mut count, plan, &input_exprs, &dp_refs, &pair_refs);
+        encode(&mut problem, plan, &input_exprs, &dp_refs, &pair_refs);
+        (
+            (problem.num_constraints(), problem.num_vars()),
+            (count.rows, count.vars),
+        )
+    }
+
+    /// A random fully connected `kind` network: one to three activation
+    /// layers of width 1–7 over a 2–5-dimensional input, 2–4 logits.
+    fn random_fc(kind: ActKind, rng: &mut Rng) -> raven_nn::Network {
+        let mut b = NetworkBuilder::new(2 + rng.below(4));
+        for _ in 0..1 + rng.below(3) {
+            b = b.dense(1 + rng.below(7), rng.next_u64()).activation(kind);
+        }
+        b.dense(2 + rng.below(3), rng.next_u64()).build()
+    }
+
+    /// A 1×4×4 image through a 2-channel 3×3 convolution, then a dense
+    /// `kind` layer: lowered convolutions carry structural zero weights.
+    fn conv_net(kind: ActKind, seed: u64) -> raven_nn::Network {
+        NetworkBuilder::new(16)
+            .conv(1, 4, 4, 2, 3, 3, 1, 1, seed)
+            .activation(ActKind::Relu)
+            .dense(5, seed + 1)
+            .activation(kind)
+            .dense(3, seed + 2)
+            .build()
+    }
+
+    /// A second layer with all-zero weight rows: their pre-activation
+    /// differences stay constant past the first layer, so a pair drops
+    /// (negative bias, both inactive) or keeps (positive bias) the
+    /// same-line row on a row without variable terms.
+    fn zero_row_net(kind: ActKind, seed: u64) -> raven_nn::Network {
+        NetworkBuilder::new(3)
+            .dense(4, seed)
+            .activation(kind)
+            .dense_from(
+                &[
+                    &[0.0; 4],
+                    &[0.5, -0.3, 0.2, 0.1],
+                    &[0.0; 4],
+                    &[-0.4, 0.6, 0.0, 0.3],
+                ],
+                &[-0.2, 0.1, 0.3, 0.0],
+            )
+            .activation(kind)
+            .dense(2, seed + 1)
+            .build()
+    }
+
+    #[test]
+    fn counted_rows_equal_built_rows() {
+        let mut rng = Rng::new(20);
+        let strategies = [
+            PairStrategy::None,
+            PairStrategy::Consecutive,
+            PairStrategy::AllPairs,
+        ];
+        for case in 0..90 {
+            let kind = ActKind::all()[case % 5];
+            let net = match case % 9 {
+                0 => conv_net(kind, rng.next_u64()),
+                1 => zero_row_net(kind, rng.next_u64()),
+                _ => random_fc(kind, &mut rng),
+            };
+            let plan = net.to_plan();
+            let k = 2 + rng.below(3);
+            let centers: Vec<Vec<f64>> = (0..k)
+                .map(|_| {
+                    (0..plan.input_dim())
+                        .map(|_| rng.in_range(0.0, 1.0))
+                        .collect()
+                })
+                .collect();
+            // A point (exact single lines), tiny, moderate and wide radii.
+            let eps = [0.0, 1e-3, rng.in_range(0.0, 0.3), 0.8][case % 4];
+            for strategy in strategies {
+                let pairs = strategy.pairs(k);
+                let (built, counted) = built_and_counted(&plan, &centers, eps, &pairs);
+                assert_eq!(
+                    counted,
+                    built,
+                    "case {case}: {kind}, k={k}, eps={eps}, pairs {}",
+                    strategy.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! without touching the encoder.
 
 use crate::config::RavenConfig;
-use crate::encode::{encode, Encoding, Expr};
+use crate::encode::{encode_into, Encoding, Expr, RowSink};
 use crate::hooks::{Phase, RunHooks};
 use raven_deeppoly::DeepPolyAnalysis;
 use raven_diffpoly::DiffPolyAnalysis;
@@ -218,16 +218,18 @@ pub(crate) type PairDelta = (usize, usize, Vec<Interval>);
 
 /// The relational relaxation of one run: the per-execution DeepPoly
 /// analyses and the LP encoding built over them.
-pub(crate) struct Relaxation {
+pub(crate) struct Relaxation<V = VarId> {
     /// One DeepPoly analysis per execution, in execution order.
     pub(crate) analyses: Vec<DeepPolyAnalysis>,
     /// The variables the encoding added to the caller's LP.
-    pub(crate) encoding: Encoding,
+    pub(crate) encoding: Encoding<V>,
 }
 
 /// Builds the relational relaxation every LP verifier solves: DeepPoly on
 /// each execution's input box, DiffPoly on each tracked pair, and the
-/// encoding of both into `lp`.
+/// encoding of both into `sink`: the caller's LP, or a
+/// [`RowCount`](crate::encode::RowCount) of the rows and variables that
+/// encoding would add.
 ///
 /// The caller has already created the LP variables that `input_exprs`
 /// range over (and any rows that must precede the encoding); it appends
@@ -235,18 +237,18 @@ pub(crate) struct Relaxation {
 /// [`Phase::Analysis`] first; this enters [`Phase::DiffPoly`] and
 /// [`Phase::Encode`], and returns `None` when the run is cancelled at
 /// either boundary.
-// Inlined into its three callers: as an out-of-line call the UAP analysis
-// path measured about 1.5% slower (ledger `uap-analysis` throughput).
+// Inlined into its callers: as an out-of-line call the UAP analysis path
+// measured about 1.5% slower (ledger `uap-analysis` throughput).
 #[inline]
-pub(crate) fn relax(
-    lp: &mut LpProblem,
+pub(crate) fn relax<S: RowSink>(
+    sink: &mut S,
     plan: &AnalysisPlan,
     boxes: &[Vec<Interval>],
     input_exprs: &[Vec<Expr>],
     pairs: &[PairDelta],
     threads: usize,
     hooks: &RunHooks<'_>,
-) -> Option<Relaxation> {
+) -> Option<Relaxation<S::Var>> {
     // Executions are independent, and each pair only reads the finished
     // per-execution analyses, so both fan out across workers.
     let analyses = crate::par::map(threads, boxes, |b| DeepPolyAnalysis::run(plan, b));
@@ -265,7 +267,7 @@ pub(crate) fn relax(
         .zip(&diffs)
         .map(|((a, b, _), d)| (*a, *b, d))
         .collect();
-    let encoding = encode(lp, plan, input_exprs, &dp_refs, &pair_refs);
+    let encoding = encode_into(sink, plan, input_exprs, &dp_refs, &pair_refs);
     Some(Relaxation { analyses, encoding })
 }
 

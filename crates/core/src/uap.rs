@@ -9,7 +9,7 @@
 
 use crate::certificate::CertSink;
 use crate::config::{Method, RavenConfig};
-use crate::encode::Expr;
+use crate::encode::{Expr, RowCount, RowSink};
 use crate::hooks::{Phase, RunHooks};
 use crate::margin::{all_positive, box_margins, deeppoly_margins, zonotope_margins};
 use crate::relational::{relax, PairDelta, Relaxation};
@@ -440,16 +440,19 @@ fn io_spec(
 /// coordinate of the shared perturbation `d` (followed by the ℓ1 rows when
 /// the threat model has a budget), execution `i` at `z_i + d`, and
 /// DiffPoly on `pairs` with the exact input difference `z_a − z_b` (the
-/// shared `d` cancels). Returns the LP, the `d` variables and the
-/// relaxation, or `None` when the run is cancelled.
-fn uap_relaxation(
+/// shared `d` cancels). `sink` turns the LP holding `d` into the sink the
+/// relaxation goes to: the LP itself, or a count of its rows. Returns the
+/// sink, the `d` variables and the relaxation, or `None` when the run is
+/// cancelled.
+fn uap_relaxation<S: RowSink>(
     problem: &UapProblem,
     delta_box: &[Interval],
     pairs: &[(usize, usize)],
     l1_budget: Option<f64>,
     threads: usize,
     hooks: &RunHooks<'_>,
-) -> Option<(LpProblem, Vec<VarId>, Relaxation)> {
+    sink: impl FnOnce(LpProblem) -> S,
+) -> Option<(S, Vec<VarId>, Relaxation<S::Var>)> {
     let mut lp = LpProblem::new();
     let d_vars = add_perturbation(&mut lp, delta_box, l1_budget);
     let boxes: Vec<Vec<Interval>> = problem
@@ -478,8 +481,9 @@ fn uap_relaxation(
             (a, b, delta)
         })
         .collect();
+    let mut sink = sink(lp);
     let relaxation = relax(
-        &mut lp,
+        &mut sink,
         &problem.plan,
         &boxes,
         &input_exprs,
@@ -487,7 +491,7 @@ fn uap_relaxation(
         threads,
         hooks,
     )?;
-    Some((lp, d_vars, relaxation))
+    Some((sink, d_vars, relaxation))
 }
 
 /// The RaVeN formulation: margins read off the relational relaxation's
@@ -512,6 +516,7 @@ fn raven_spec(
         l1_budget,
         config.threads,
         hooks,
+        std::convert::identity,
     )?;
     let dps = &relaxation.analyses;
     if let Some(sink) = cert {
@@ -563,6 +568,35 @@ fn raven_spec(
     })
 }
 
+/// The size of the LP [`raven_spec`] would build for a batch whose every
+/// execution is individually verified. No execution keeps a candidate
+/// class, so no spec row joins the relaxation and nothing solves it: the
+/// analyses still run, since the relaxation's rows depend on their bounds,
+/// but its rows and variables are counted rather than built. Returns
+/// `(rows, vars)`, or `None` when cancelled.
+fn raven_lp_size(
+    problem: &UapProblem,
+    delta_box: &[Interval],
+    config: &RavenConfig,
+    l1_budget: Option<f64>,
+    hooks: &RunHooks<'_>,
+    cert: Option<&mut CertSink>,
+) -> Option<(usize, usize)> {
+    let (count, _, relaxation) = uap_relaxation(
+        problem,
+        delta_box,
+        &config.pairs.pairs(problem.k()),
+        l1_budget,
+        config.threads,
+        hooks,
+        |lp| RowCount::after(&lp),
+    )?;
+    if let Some(sink) = cert {
+        sink.record_analyses(&problem.plan, &relaxation.analyses);
+    }
+    Some((count.rows, count.vars))
+}
+
 /// The LP methods: assembles the counting spec, then solves it down the
 /// degradation ladder (anytime MILP bound → LP relaxation → union bound);
 /// every rung only over-counts misclassifications, so the result stays
@@ -583,28 +617,11 @@ fn verify_uap_spec(
     if !hooks.enter(Phase::Analysis) {
         return None;
     }
-    let UapSpec {
-        mut lp,
-        d_vars,
-        objective,
-    } = match method {
-        Method::IoLp => io_spec(problem, delta_box, config, margins, l1_budget),
-        _ => raven_spec(
-            problem,
-            delta_box,
-            config,
-            margins,
-            l1_budget,
-            hooks,
-            cert.as_deref_mut(),
-        )?,
-    };
-    let k = problem.k();
-    let lp_rows = lp.num_constraints();
-    let lp_vars = lp.num_vars();
-    let Some(objective) = objective else {
+    // The verdict when no execution keeps a candidate class: no adversary
+    // is possible, and the LP is reported by its size alone.
+    let analysis_tier = |lp_rows, lp_vars| {
         let millis = start.elapsed().as_secs_f64() * 1e3;
-        return Some(UapResult {
+        UapResult {
             method,
             worst_case_accuracy: 1.0,
             worst_case_hamming: 0.0,
@@ -620,7 +637,35 @@ fn verify_uap_spec(
                 analysis: millis,
                 ..TierMillis::default()
             },
-        });
+        }
+    };
+    let k = problem.k();
+    let UapSpec {
+        mut lp,
+        d_vars,
+        objective,
+    } = match method {
+        Method::IoLp => io_spec(problem, delta_box, config, margins, l1_budget),
+        // Nothing would solve the relational LP: count it, don't build it.
+        _ if individually_verified == k => {
+            let (lp_rows, lp_vars) =
+                raven_lp_size(problem, delta_box, config, l1_budget, hooks, cert)?;
+            return Some(analysis_tier(lp_rows, lp_vars));
+        }
+        _ => raven_spec(
+            problem,
+            delta_box,
+            config,
+            margins,
+            l1_budget,
+            hooks,
+            cert.as_deref_mut(),
+        )?,
+    };
+    let lp_rows = lp.num_constraints();
+    let lp_vars = lp.num_vars();
+    let Some(objective) = objective else {
+        return Some(analysis_tier(lp_rows, lp_vars));
     };
     if !hooks.enter(Phase::Solve) {
         return None;
@@ -759,9 +804,16 @@ pub fn verify_targeted_uap_all(
         Method::Raven => config.pairs.pairs(base.k()),
         _ => Vec::new(),
     };
-    let (shared, _, relaxation) =
-        uap_relaxation(base, &delta_box, &pairs, None, config.threads, &hooks)
-            .expect("default hooks never cancel");
+    let (shared, _, relaxation) = uap_relaxation(
+        base,
+        &delta_box,
+        &pairs,
+        None,
+        config.threads,
+        &hooks,
+        std::convert::identity,
+    )
+    .expect("default hooks never cancel");
     hooks.enter(Phase::Solve);
     // One basis cache across every per-label MILP: the shared relaxation is
     // a common prefix of each target's problem, so a root basis from one
@@ -946,9 +998,11 @@ fn solve_spec_with_witness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PairStrategy;
     use raven_nn::data::synth_digits;
     use raven_nn::train::{train_classifier, TrainConfig};
     use raven_nn::{ActKind, NetworkBuilder};
+    use raven_tensor::Rng;
 
     fn trained_problem(eps: f64, k: usize) -> (UapProblem, raven_nn::Network) {
         let ds = synth_digits(4, 3, 90, 0.06, 13);
@@ -993,6 +1047,76 @@ mod tests {
             },
             net,
         )
+    }
+
+    #[test]
+    fn counted_lp_size_matches_the_built_relaxation() {
+        // Random networks of every activation, every pair strategy, with
+        // and without an ℓ1 budget: the counted size is the built one, and
+        // a fully individually verified batch reports it as its verdict.
+        let mut rng = Rng::new(5);
+        let mut verdicts_checked = 0;
+        for case in 0..15 {
+            let kind = ActKind::all()[case % 5];
+            let net = NetworkBuilder::new(4)
+                .dense(6, rng.next_u64())
+                .activation(kind)
+                .dense(5, rng.next_u64())
+                .activation(kind)
+                .dense(3, rng.next_u64())
+                .build();
+            let inputs: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..4).map(|_| rng.in_range(0.0, 1.0)).collect())
+                .collect();
+            let problem = UapProblem {
+                plan: net.to_plan(),
+                labels: inputs.iter().map(|z| net.classify(z)).collect(),
+                inputs,
+                eps: [0.002, 0.02, 0.2][case % 3],
+            };
+            for pairs in [
+                PairStrategy::None,
+                PairStrategy::Consecutive,
+                PairStrategy::AllPairs,
+            ] {
+                let config = RavenConfig {
+                    pairs,
+                    ..RavenConfig::default()
+                };
+                for l1_budget in [None, Some(problem.eps / 2.0)] {
+                    let cap = l1_budget.map_or(problem.eps, |b| problem.eps.min(b));
+                    let delta_box = vec![Interval::symmetric(cap); 4];
+                    let hooks = RunHooks::default();
+                    let (lp, _, _) = uap_relaxation(
+                        &problem,
+                        &delta_box,
+                        &pairs.pairs(problem.k()),
+                        l1_budget,
+                        1,
+                        &hooks,
+                        std::convert::identity,
+                    )
+                    .expect("default hooks never cancel");
+                    let built = (lp.num_constraints(), lp.num_vars());
+                    let counted =
+                        raven_lp_size(&problem, &delta_box, &config, l1_budget, &hooks, None)
+                            .expect("default hooks never cancel");
+                    assert_eq!(
+                        counted, built,
+                        "case {case}: {kind}, {pairs:?}, {l1_budget:?}"
+                    );
+                    let res = match l1_budget {
+                        Some(budget) => verify_uap_l1(&problem, budget, Method::Raven, &config),
+                        None => verify_uap(&problem, Method::Raven, &config),
+                    };
+                    if res.individually_verified == problem.k() {
+                        assert_eq!((res.lp_rows, res.lp_vars), built, "case {case}");
+                        verdicts_checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(verdicts_checked > 0, "no batch reached the counted path");
     }
 
     #[test]

@@ -361,17 +361,23 @@ fn wait_for_status(addr: SocketAddr, id: usize, want: &str) {
 #[test]
 fn server_verdict_matches_cli_json_output_exactly() {
     // The CLI binary lives next to the test runner's deps directory.
-    let cli = std::env::current_exe()
+    let profile_dir = std::env::current_exe()
         .expect("test exe path")
         .parent()
         .and_then(Path::parent)
         .expect("target profile dir")
-        .join(format!("raven_cli{}", std::env::consts::EXE_SUFFIX));
+        .to_path_buf();
+    let cli = profile_dir.join(format!("raven_cli{}", std::env::consts::EXE_SUFFIX));
     if !cli.exists() {
         // Built lazily: `cargo test -p raven-serve` alone does not build
-        // sibling binaries, the full workspace test (tier 1) does.
+        // sibling binaries, the full workspace test (tier 1) does. Build it
+        // into the profile this test runs under.
+        let mut args = vec!["build", "-p", "raven", "--bin", "raven_cli"];
+        if profile_dir.ends_with("release") {
+            args.push("--release");
+        }
         let status = std::process::Command::new(env!("CARGO"))
-            .args(["build", "-p", "raven", "--bin", "raven_cli"])
+            .args(args)
             .current_dir(repo_path(""))
             .status()
             .expect("invoke cargo");

@@ -7,9 +7,10 @@ cd "$(dirname "$0")/.."
 # (raven_cli, raven_serve), and check_metrics.sh below needs the latter.
 cargo build --release --workspace
 cargo test -q
-# The explicit chaos feature must keep the fault-injection suite green
-# even where debug_assertions are off (release-profile test runs).
-cargo test -p raven-serve --features chaos -q
+# Every member crate's unit and integration tests, in the profile users
+# run. The fault-injection suites stay armed with debug_assertions off:
+# raven-lp and raven-serve enable their own `chaos` feature for tests.
+cargo test --release --workspace -q
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 # Public docs must not link to private or deleted items.

@@ -16,14 +16,16 @@
 //!
 //! Certificate overhead and tracing overhead (the same workload with and
 //! without a per-request trace context) are measured *after* the counter
-//! snapshot, so the pivot-regression gate below keeps comparing like with
+//! snapshot, so the work-regression gate below keeps comparing like with
 //! like across baselines that predate them.
 //!
 //! Usage: `cargo run -p raven-bench --release --bin obs -- [--out FILE]
 //! [--threads n] [--check BASELINE]` (default output `BENCH_obs.json`).
-//! With `--check`, the freshly measured pivot total (primal + dual) is
-//! compared against the committed baseline and the process exits non-zero
-//! on a >20% regression — wired into `scripts/tier1.sh`.
+//! With `--check`, the freshly measured pivot total (primal + dual) and
+//! the DeepPoly relaxed-neuron count (one per activation neuron per
+//! DeepPoly pass) are compared against the committed baseline, and the
+//! process exits non-zero when either grows by more than 20% — wired into
+//! `scripts/tier1.sh`.
 
 use raven::{
     verify_monotonicity, verify_monotonicity_with_hooks, verify_targeted_uap_all, verify_uap,
@@ -70,17 +72,30 @@ fn counters() -> Vec<(&'static str, &'static Counter)> {
     ]
 }
 
-/// Total simplex work in a report: primal pivots plus dual (warm-start)
-/// pivots. Old baselines predate the dual counter; a missing key reads 0.
-fn pivot_total(report: &Json) -> f64 {
-    let counter = |key: &str| {
-        report
-            .get("counters")
-            .and_then(|c| c.get(key))
-            .and_then(|v| v.as_f64())
-            .unwrap_or(0.0)
-    };
-    counter("simplex_pivots") + counter("lp_dual_pivots")
+/// A counter delta of a report. Old baselines predate some counters; a
+/// missing key reads 0.
+fn counter(report: &Json, key: &str) -> f64 {
+    report
+        .get("counters")
+        .and_then(|c| c.get(key))
+        .and_then(|v| v.as_f64())
+        .unwrap_or(0.0)
+}
+
+/// The work the gate checks, by name: total simplex work (primal pivots
+/// plus dual warm-start pivots), and DeepPoly work (activation neurons
+/// relaxed, which counts the passes).
+fn gated_work(report: &Json) -> [(&'static str, f64); 2] {
+    [
+        (
+            "total pivots",
+            counter(report, "simplex_pivots") + counter(report, "lp_dual_pivots"),
+        ),
+        (
+            "deeppoly relaxed neurons",
+            counter(report, "deeppoly_relaxed_neurons"),
+        ),
+    ]
 }
 
 fn main() {
@@ -172,7 +187,7 @@ fn main() {
     .collect();
 
     // Certificate overhead, measured after the counter/phase snapshots
-    // above so the pivot-regression gate keeps comparing like with like:
+    // above so the work-regression gate keeps comparing like with like:
     // re-run the hot UAP batch and the monotonicity query certified, and
     // record serialized certificate size plus exact-replay time.
     let hooks = RunHooks::default();
@@ -208,7 +223,7 @@ fn main() {
     })
     .collect();
 
-    // Tracing overhead, also outside the pivot-gate window:
+    // Tracing overhead, also outside the gated window:
     // the same moderate-ε UAP batch solved with and without a per-request
     // trace context buffering spans. Tracing is observe-only, so the only
     // cost is the per-record buffering — this column keeps it honest.
@@ -280,16 +295,20 @@ fn main() {
         let text = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
         let baseline = Json::parse(&text).expect("baseline parses");
-        let base = pivot_total(&baseline);
-        let now = pivot_total(&report);
-        let limit = base * 1.2;
-        println!("pivot check: measured {now:.0} vs baseline {base:.0} (limit {limit:.0})");
-        if now > limit {
-            eprintln!(
-                "FAIL: total pivots regressed by more than 20% \
-                 ({now:.0} > {limit:.0}); rerun with --out to refresh the \
-                 baseline if the regression is intentional"
-            );
+        let mut regressed = false;
+        for ((name, base), (_, now)) in gated_work(&baseline).into_iter().zip(gated_work(&report)) {
+            let limit = base * 1.2;
+            println!("{name} check: measured {now:.0} vs baseline {base:.0} (limit {limit:.0})");
+            if now > limit {
+                eprintln!(
+                    "FAIL: {name} regressed by more than 20% ({now:.0} > {limit:.0}); \
+                     rerun with --out to refresh the baseline if the regression \
+                     is intentional"
+                );
+                regressed = true;
+            }
+        }
+        if regressed {
             std::process::exit(1);
         }
     }

@@ -26,9 +26,14 @@ use std::time::{Duration, Instant};
 /// The phases reported to progress observers, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Per-input individual margin analyses.
+    /// Per-input individual margin analyses. For UAP and targeted UAP
+    /// this is where DeepPoly runs, once per execution; the relational
+    /// relaxation reuses those analyses.
     Margins,
-    /// Per-execution abstract analyses (DeepPoly runs).
+    /// Per-execution abstract analyses: the DeepPoly runs of the
+    /// monotonicity verifier and the generic relational solver. For UAP
+    /// and targeted UAP it only sets up the shared-perturbation LP, since
+    /// DeepPoly has already run in [`Phase::Margins`].
     Analysis,
     /// Pairwise DiffPoly difference analyses.
     DiffPoly,

@@ -7,45 +7,84 @@
 //! subtracting the two output intervals — this is the standard DeepPoly
 //! margin construction, and what the paper's non-relational baseline does.
 
-use raven_deeppoly::DeepPolyAnalysis;
+use raven_deeppoly::{DeepPolyAnalysis, InputBounds};
 use raven_interval::{Interval, IntervalAnalysis};
 use raven_nn::{AnalysisPlan, PlanStep};
 use raven_tensor::Matrix;
 use raven_zonotope::ZonotopeAnalysis;
 
+/// The margins `out[label] − out[c]` for all `c ≠ label`, in class order,
+/// as one affine map of the output (zero bias).
+///
+/// # Panics
+///
+/// Panics when `label >= out_dim`.
+fn margin_weight(out_dim: usize, label: usize) -> Matrix {
+    assert!(label < out_dim, "label out of range");
+    let mut w = Matrix::zeros(out_dim - 1, out_dim);
+    for (row, c) in (0..out_dim).filter(|&c| c != label).enumerate() {
+        w.set(row, label, 1.0);
+        w.set(row, c, -1.0);
+    }
+    w
+}
+
 /// Extends `plan` with a final affine step computing the margins
-/// `out[label] − out[c]` for all `c ≠ label`, in class order.
+/// `out[label] − out[c]` for all `c ≠ label`, in class order: the margin
+/// rows of the domains that cannot bound an output map over a finished
+/// analysis (Box and zonotope).
 ///
 /// # Panics
 ///
 /// Panics when `label >= plan.output_dim()`.
 pub fn margin_plan(plan: &AnalysisPlan, label: usize) -> AnalysisPlan {
     let out_dim = plan.output_dim();
-    assert!(label < out_dim, "label out of range");
-    let mut w = Matrix::zeros(out_dim - 1, out_dim);
-    let mut row = 0;
-    for c in 0..out_dim {
-        if c == label {
-            continue;
-        }
-        w.set(row, label, 1.0);
-        w.set(row, c, -1.0);
-        row += 1;
-    }
     let mut steps = plan.steps().to_vec();
     steps.push(PlanStep::Affine {
-        weight: w,
+        weight: margin_weight(out_dim, label),
         bias: vec![0.0; out_dim - 1],
     });
     AnalysisPlan::from_parts(plan.input_dim(), steps)
 }
 
+/// The margins `out[label] − out[c]` (`c ≠ label`) bounded over a finished
+/// DeepPoly analysis of `plan`: their symbolic bounds over the input
+/// variables and their concrete bounds over the analyzed box. Bit for bit
+/// what DeepPoly computes on [`margin_plan`], without a second pass.
+///
+/// # Panics
+///
+/// Panics when `label >= plan.output_dim()` or the analysis was produced
+/// from a different plan.
+pub(crate) fn margin_bounds(
+    analysis: &DeepPolyAnalysis,
+    plan: &AnalysisPlan,
+    label: usize,
+) -> (InputBounds, Vec<Interval>) {
+    let out_dim = plan.output_dim();
+    analysis.bound_output_map(
+        plan,
+        &margin_weight(out_dim, label),
+        &vec![0.0; out_dim - 1],
+    )
+}
+
+/// Lower bounds on the margins `out[label] − out[c]` (`c ≠ label`) over a
+/// finished DeepPoly analysis of `plan`.
+pub(crate) fn analysis_margins(
+    analysis: &DeepPolyAnalysis,
+    plan: &AnalysisPlan,
+    label: usize,
+) -> Vec<f64> {
+    let (_, margins) = margin_bounds(analysis, plan, label);
+    margins.iter().map(Interval::lo).collect()
+}
+
 /// Lower bounds on all margins `out[label] − out[c]` (`c ≠ label`) over the
-/// input box, computed with DeepPoly.
+/// input box, computed with DeepPoly: one pass over `plan`, then one more
+/// back-substitution for the margin rows.
 pub fn deeppoly_margins(plan: &AnalysisPlan, input: &[Interval], label: usize) -> Vec<f64> {
-    let extended = margin_plan(plan, label);
-    let analysis = DeepPolyAnalysis::run(&extended, input);
-    analysis.output().iter().map(Interval::lo).collect()
+    analysis_margins(&DeepPolyAnalysis::run(plan, input), plan, label)
 }
 
 /// Lower bounds on all margins, computed with the interval (Box) domain.

@@ -12,9 +12,11 @@ use crate::tier::Tier;
 use raven_obs::{Counter, Desc, Histogram, MetricRef, SpanGuard};
 use std::cell::RefCell;
 
-/// Seconds spent in the margins phase (per-input individual analyses).
+/// Seconds spent in the margins phase (per-input individual analyses;
+/// for UAP, the one DeepPoly pass per execution).
 pub static PHASE_MARGINS_SECONDS: Histogram = Histogram::new();
-/// Seconds spent in the per-execution analysis phase (DeepPoly runs).
+/// Seconds spent in the per-execution analysis phase (see
+/// [`Phase::Analysis`]).
 pub static PHASE_ANALYSIS_SECONDS: Histogram = Histogram::new();
 /// Seconds spent in the pairwise DiffPoly phase.
 pub static PHASE_DIFFPOLY_SECONDS: Histogram = Histogram::new();

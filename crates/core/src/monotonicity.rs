@@ -66,17 +66,23 @@ pub struct MonotonicityResult {
     pub tier_millis: TierMillis,
 }
 
-/// Extends the plan with a single-row affine step computing the score.
+/// The score as a single-row affine map of the output (zero bias).
+fn score_weight(plan: &AnalysisPlan, weights: &[f64]) -> Matrix {
+    assert_eq!(
+        weights.len(),
+        plan.output_dim(),
+        "score weight width mismatch"
+    );
+    Matrix::from_rows(&[weights])
+}
+
+/// Extends the plan with a single-row affine step computing the score:
+/// the score of the domains that cannot bound an output map over a
+/// finished analysis (Box and zonotope).
 fn score_plan(plan: &AnalysisPlan, weights: &[f64]) -> AnalysisPlan {
-    let out_dim = plan.output_dim();
-    assert_eq!(weights.len(), out_dim, "score weight width mismatch");
-    let mut w = Matrix::zeros(1, out_dim);
-    for (j, &v) in weights.iter().enumerate() {
-        w.set(0, j, v);
-    }
     let mut steps = plan.steps().to_vec();
     steps.push(PlanStep::Affine {
-        weight: w,
+        weight: score_weight(plan, weights),
         bias: vec![0.0],
     });
     AnalysisPlan::from_parts(plan.input_dim(), steps)
@@ -190,29 +196,49 @@ fn verify_monotonicity_inner(
 
 /// Independent-bounds certified change via the chosen abstract domain:
 /// always sound (it simply ignores the cross-execution correlation), used
-/// both by the non-relational baselines and as the degradation fallback
-/// when a deadline interrupts the relational LP.
+/// by the non-relational baselines.
 fn independent_change_bound(problem: &MonotonicityProblem, method: Method) -> f64 {
-    let splan = score_plan(&problem.plan, &problem.output_weights);
     let (box_a, box_b) = input_boxes(problem);
     let (score_a, score_b) = match method {
         Method::Box => {
+            let splan = score_plan(&problem.plan, &problem.output_weights);
             let a = IntervalAnalysis::run(&splan, &box_a);
             let b = IntervalAnalysis::run(&splan, &box_b);
             (a.output()[0], b.output()[0])
         }
         Method::ZonotopeIndividual => {
+            let splan = score_plan(&problem.plan, &problem.output_weights);
             let a = raven_zonotope::ZonotopeAnalysis::run(&splan, &box_a);
             let b = raven_zonotope::ZonotopeAnalysis::run(&splan, &box_b);
             (a.output()[0], b.output()[0])
         }
         _ => {
-            let a = DeepPolyAnalysis::run(&splan, &box_a);
-            let b = DeepPolyAnalysis::run(&splan, &box_b);
-            (a.output()[0], b.output()[0])
+            let a = DeepPolyAnalysis::run(&problem.plan, &box_a);
+            let b = DeepPolyAnalysis::run(&problem.plan, &box_b);
+            return deeppoly_change_bound(problem, &a, &b);
         }
     };
-    // Independent bounds: worst signed change.
+    change_bound(problem, score_a, score_b)
+}
+
+/// The independent-bounds certified change over finished DeepPoly
+/// analyses of the two executions' boxes: the score bounded as one more
+/// back-substitution over each. This is the baseline's answer, and the
+/// degradation fallback when a deadline or a numerical failure stops the
+/// relational LP, which reuses the analyses its relaxation was built on.
+fn deeppoly_change_bound(
+    problem: &MonotonicityProblem,
+    a: &DeepPolyAnalysis,
+    b: &DeepPolyAnalysis,
+) -> f64 {
+    let weight = score_weight(&problem.plan, &problem.output_weights);
+    let score = |dp: &DeepPolyAnalysis| dp.bound_output_map(&problem.plan, &weight, &[0.0]).1[0];
+    change_bound(problem, score(a), score(b))
+}
+
+/// The worst signed score change between independent bounds on the two
+/// executions' scores.
+fn change_bound(problem: &MonotonicityProblem, score_a: Interval, score_b: Interval) -> f64 {
     if problem.increasing {
         score_b.lo() - score_a.hi()
     } else {
@@ -266,10 +292,13 @@ fn verify_monotonicity_lp(
     } else {
         Vec::new()
     };
+    let analyses = crate::par::map(config.threads, &[box_a, box_b], |b| {
+        DeepPolyAnalysis::run(plan, b)
+    });
     let relaxation = relax(
         &mut lp,
         plan,
-        &[box_a, box_b],
+        analyses,
         &[exprs_a, exprs_b],
         &pairs,
         config.threads,
@@ -295,6 +324,8 @@ fn verify_monotonicity_lp(
     let t0 = Instant::now();
     let res = lp.solve_with_budget(&config.simplex, &hooks.lp_budget());
     let lp_millis = t0.elapsed().as_secs_f64() * 1e3;
+    let dps = &relaxation.analyses;
+    let fallback = || deeppoly_change_bound(problem, &dps[0], &dps[1]);
     Some(match res {
         Ok(sol) if sol.status == SolveStatus::Optimal => {
             if let Some(sink) = cert {
@@ -308,21 +339,11 @@ fn verify_monotonicity_lp(
                 // (below) wants the best sound one.
                 return None;
             }
-            (
-                independent_change_bound(problem, Method::DeepPolyIndividual),
-                Tier::Analysis,
-                true,
-                lp_millis,
-            )
+            (fallback(), Tier::Analysis, true, lp_millis)
         }
         // Numerical failure: the independent-bounds answer is still sound
         // (strictly better than the old "uncertifiable" −∞ fallback).
-        _ => (
-            independent_change_bound(problem, Method::DeepPolyIndividual),
-            Tier::Analysis,
-            false,
-            lp_millis,
-        ),
+        _ => (fallback(), Tier::Analysis, false, lp_millis),
     })
 }
 

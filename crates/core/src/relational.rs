@@ -18,14 +18,16 @@
 //! [`export_lp`] writes the same LP out in CPLEX LP format.
 //!
 //! This module also holds the one relaxation builder behind every LP
-//! verifier in the crate: `relax` runs DeepPoly on each execution's input
-//! box and DiffPoly on each tracked pair, then encodes both into an LP
-//! whose input variables the caller has already created. The UAP,
-//! targeted-UAP and monotonicity verifiers call it with their own input
-//! variables, pair lists and input-difference boxes, and append their
-//! spec rows afterwards; [`solve`] and [`export_lp`] call it with one
-//! variable per scenario variable. New properties plug in the same way,
-//! without touching the encoder.
+//! verifier in the crate: `relax` takes the caller's DeepPoly analysis of
+//! each execution's input box, runs DiffPoly on each tracked pair, then
+//! encodes both into an LP whose input variables the caller has already
+//! created. The caller supplies the analyses so that each execution is
+//! analyzed once: the UAP and targeted-UAP verifiers hand over the
+//! analyses their margin check already ran, while the monotonicity
+//! verifier, [`solve`] and [`export_lp`] run DeepPoly on their boxes
+//! first. Each caller brings its own input variables, pair lists and
+//! input-difference boxes, and appends its spec rows afterwards. New
+//! properties plug in the same way, without touching the encoder.
 
 use crate::config::RavenConfig;
 use crate::encode::{encode_into, Encoding, Expr, RowSink};
@@ -225,36 +227,40 @@ pub(crate) struct Relaxation<V = VarId> {
     pub(crate) encoding: Encoding<V>,
 }
 
-/// Builds the relational relaxation every LP verifier solves: DeepPoly on
-/// each execution's input box, DiffPoly on each tracked pair, and the
-/// encoding of both into `sink`: the caller's LP, or a
-/// [`RowCount`](crate::encode::RowCount) of the rows and variables that
+/// Builds the relational relaxation every LP verifier solves over the
+/// caller's per-execution DeepPoly `analyses` (one per entry of
+/// `input_exprs`, each over that execution's input box): DiffPoly on each
+/// tracked pair, and the encoding of both into `sink`: the caller's LP, or
+/// a [`RowCount`](crate::encode::RowCount) of the rows and variables that
 /// encoding would add.
 ///
 /// The caller has already created the LP variables that `input_exprs`
 /// range over (and any rows that must precede the encoding); it appends
-/// its spec rows and objective afterwards. The caller also enters
-/// [`Phase::Analysis`] first; this enters [`Phase::DiffPoly`] and
-/// [`Phase::Encode`], and returns `None` when the run is cancelled at
-/// either boundary.
+/// its spec rows and objective afterwards. This enters
+/// [`Phase::DiffPoly`] and [`Phase::Encode`], and returns `None` when the
+/// run is cancelled at either boundary.
 // Inlined into its callers: as an out-of-line call the UAP analysis path
 // measured about 1.5% slower (ledger `uap-analysis` throughput).
 #[inline]
 pub(crate) fn relax<S: RowSink>(
     sink: &mut S,
     plan: &AnalysisPlan,
-    boxes: &[Vec<Interval>],
+    analyses: Vec<DeepPolyAnalysis>,
     input_exprs: &[Vec<Expr>],
     pairs: &[PairDelta],
     threads: usize,
     hooks: &RunHooks<'_>,
 ) -> Option<Relaxation<S::Var>> {
-    // Executions are independent, and each pair only reads the finished
-    // per-execution analyses, so both fan out across workers.
-    let analyses = crate::par::map(threads, boxes, |b| DeepPolyAnalysis::run(plan, b));
+    assert_eq!(
+        analyses.len(),
+        input_exprs.len(),
+        "one analysis per execution"
+    );
     if !hooks.enter(Phase::DiffPoly) {
         return None;
     }
+    // Each pair only reads the finished per-execution analyses, so the
+    // pairs fan out across workers.
     let diffs = crate::par::map(threads, pairs, |(a, b, delta)| {
         DiffPolyAnalysis::run(plan, &analyses[*a], &analyses[*b], delta)
     });
@@ -292,6 +298,9 @@ fn relax_problem(
         .iter()
         .map(|coords| coords.iter().map(|c| c.image(&problem.scenarios)).collect())
         .collect();
+    let analyses = crate::par::map(config.threads, &boxes, |b| {
+        DeepPolyAnalysis::run(&problem.plan, b)
+    });
     let input_exprs: Vec<Vec<Expr>> = problem
         .inputs
         .iter()
@@ -324,7 +333,7 @@ fn relax_problem(
     relax(
         lp,
         &problem.plan,
-        &boxes,
+        analyses,
         &input_exprs,
         &pairs,
         config.threads,
@@ -391,7 +400,7 @@ pub fn export_lp(problem: &RelationalProblem, config: &RavenConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Method, PairStrategy};
+    use crate::PairStrategy;
     use raven_nn::{ActKind, NetworkBuilder};
 
     fn net() -> raven_nn::Network {
@@ -498,7 +507,6 @@ mod tests {
             lp_margin >= dp_margin - 1e-7,
             "lp margin {lp_margin} looser than deeppoly {dp_margin}"
         );
-        let _ = Method::Raven; // silence unused-import lint paths in some cfgs
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::certificate::CertSink;
 use crate::config::{Method, RavenConfig};
 use crate::encode::{Expr, RowCount, RowSink};
 use crate::hooks::{Phase, RunHooks};
-use crate::margin::{all_positive, box_margins, deeppoly_margins, zonotope_margins};
+use crate::margin::{all_positive, analysis_margins, box_margins, margin_bounds, zonotope_margins};
 use crate::relational::{relax, PairDelta, Relaxation};
 use crate::tier::{Tier, TierMillis};
 use raven_deeppoly::DeepPolyAnalysis;
@@ -206,24 +206,33 @@ pub fn verify_uap_with_hooks(
 }
 
 /// Per-input individual margins of every execution over its box
-/// `z + delta_box`, in the chosen method's domain (DeepPoly for the LP
-/// methods, which use them to prune candidate classes). Each input is
-/// independent, so the batch fans out across the configured workers.
+/// `z + delta_box`, in the chosen method's domain, and for the
+/// DeepPoly-domain methods the DeepPoly analysis of each box (empty for
+/// Box and zonotope). The LP methods prune candidate classes with the
+/// margins and build their relaxation over the analyses, so each box is
+/// analyzed once. Each input is independent, so the batch fans out across
+/// the configured workers.
 fn individual_margins(
     problem: &UapProblem,
     delta_box: &[Interval],
     method: Method,
     threads: usize,
-) -> Vec<Vec<f64>> {
-    crate::par::map_range(threads, problem.k(), |i| {
+) -> (Vec<Vec<f64>>, Vec<DeepPolyAnalysis>) {
+    let per_exec = crate::par::map_range(threads, problem.k(), |i| {
         let ball = exec_box(&problem.inputs[i], delta_box);
         let y = problem.labels[i];
         match method {
-            Method::Box => box_margins(&problem.plan, &ball, y),
-            Method::ZonotopeIndividual => zonotope_margins(&problem.plan, &ball, y),
-            _ => deeppoly_margins(&problem.plan, &ball, y),
+            Method::Box => (box_margins(&problem.plan, &ball, y), None),
+            Method::ZonotopeIndividual => (zonotope_margins(&problem.plan, &ball, y), None),
+            _ => {
+                let analysis = DeepPolyAnalysis::run(&problem.plan, &ball);
+                let margins = analysis_margins(&analysis, &problem.plan, y);
+                (margins, Some(analysis))
+            }
         }
-    })
+    });
+    let (margins, analyses): (Vec<_>, Vec<_>) = per_exec.into_iter().unzip();
+    (margins, analyses.into_iter().flatten().collect())
 }
 
 /// Shared implementation over an explicit shared-perturbation box:
@@ -263,7 +272,7 @@ fn verify_uap_with_extra(
     }
     // Individual margins are used directly by the baselines, and for
     // candidate-class pruning by the LP methods.
-    let margins = individual_margins(problem, delta_box, method, config.threads);
+    let (margins, analyses) = individual_margins(problem, delta_box, method, config.threads);
     let individually_verified = margins.iter().filter(|m| all_positive(m)).count();
     let result = match method {
         Method::Box | Method::ZonotopeIndividual | Method::DeepPolyIndividual => {
@@ -292,6 +301,7 @@ fn verify_uap_with_extra(
             method,
             config,
             &margins,
+            analyses,
             individually_verified,
             start,
             l1_budget,
@@ -352,6 +362,7 @@ fn io_spec(
     delta_box: &[Interval],
     config: &RavenConfig,
     margins: &[Vec<f64>],
+    analyses: &[DeepPolyAnalysis],
     l1_budget: Option<f64>,
 ) -> UapSpec {
     let k = problem.k();
@@ -360,9 +371,9 @@ fn io_spec(
     let mut lp = LpProblem::new();
     let d_vars = add_perturbation(&mut lp, delta_box, l1_budget);
     // Candidate adversarial classes and symbolic input-level margin bounds
-    // per execution. The per-execution DeepPoly back-substitutions dominate
-    // this method's analysis cost and are independent, so they fan out
-    // across workers; the LP assembly below stays sequential (and therefore
+    // per execution, back-substituted over the margin phase's analyses.
+    // The back-substitutions are independent, so they fan out across
+    // workers; the LP assembly below stays sequential (and therefore
     // deterministic) regardless of the thread count.
     let sym_rows = crate::par::map_range(config.threads, k, |i| {
         let y = problem.labels[i];
@@ -380,11 +391,8 @@ fn io_spec(
         if candidates.is_empty() {
             return None;
         }
-        let mplan = crate::margin::margin_plan(plan, y);
-        let ball = exec_box(&problem.inputs[i], delta_box);
-        let dp = DeepPolyAnalysis::run(&mplan, &ball);
-        let sym = dp.input_bounds(&mplan);
-        let concrete = sym.concretize(&ball);
+        let (sym, _) = margin_bounds(&analyses[i], plan, y);
+        let concrete = sym.concretize(&analyses[i].bounds[0]);
         Some((candidates, sym, concrete))
     });
     let mut objective = LinExpr::new();
@@ -438,15 +446,18 @@ fn io_spec(
 
 /// The relational relaxation of a UAP batch: one LP variable per
 /// coordinate of the shared perturbation `d` (followed by the ℓ1 rows when
-/// the threat model has a budget), execution `i` at `z_i + d`, and
-/// DiffPoly on `pairs` with the exact input difference `z_a − z_b` (the
+/// the threat model has a budget), execution `i` at `z_i + d` over its
+/// DeepPoly analysis `analyses[i]` (the margin phase's), and DiffPoly on
+/// `pairs` with the exact input difference `z_a − z_b` (the
 /// shared `d` cancels). `sink` turns the LP holding `d` into the sink the
 /// relaxation goes to: the LP itself, or a count of its rows. Returns the
 /// sink, the `d` variables and the relaxation, or `None` when the run is
 /// cancelled.
+#[allow(clippy::too_many_arguments)]
 fn uap_relaxation<S: RowSink>(
     problem: &UapProblem,
     delta_box: &[Interval],
+    analyses: Vec<DeepPolyAnalysis>,
     pairs: &[(usize, usize)],
     l1_budget: Option<f64>,
     threads: usize,
@@ -455,11 +466,6 @@ fn uap_relaxation<S: RowSink>(
 ) -> Option<(S, Vec<VarId>, Relaxation<S::Var>)> {
     let mut lp = LpProblem::new();
     let d_vars = add_perturbation(&mut lp, delta_box, l1_budget);
-    let boxes: Vec<Vec<Interval>> = problem
-        .inputs
-        .iter()
-        .map(|z| exec_box(z, delta_box))
-        .collect();
     let input_exprs: Vec<Vec<Expr>> = problem
         .inputs
         .iter()
@@ -485,7 +491,7 @@ fn uap_relaxation<S: RowSink>(
     let relaxation = relax(
         &mut sink,
         &problem.plan,
-        &boxes,
+        analyses,
         &input_exprs,
         &pair_deltas,
         threads,
@@ -497,11 +503,13 @@ fn uap_relaxation<S: RowSink>(
 /// The RaVeN formulation: margins read off the relational relaxation's
 /// output variables, so DiffPoly's cross-execution rows couple the
 /// executions layer by layer. Returns `None` when cancelled.
+#[allow(clippy::too_many_arguments)]
 fn raven_spec(
     problem: &UapProblem,
     delta_box: &[Interval],
     config: &RavenConfig,
     margins: &[Vec<f64>],
+    analyses: Vec<DeepPolyAnalysis>,
     l1_budget: Option<f64>,
     hooks: &RunHooks<'_>,
     cert: Option<&mut CertSink>,
@@ -512,6 +520,7 @@ fn raven_spec(
     let (mut lp, d_vars, relaxation) = uap_relaxation(
         problem,
         delta_box,
+        analyses,
         &config.pairs.pairs(k),
         l1_budget,
         config.threads,
@@ -577,6 +586,7 @@ fn raven_spec(
 fn raven_lp_size(
     problem: &UapProblem,
     delta_box: &[Interval],
+    analyses: Vec<DeepPolyAnalysis>,
     config: &RavenConfig,
     l1_budget: Option<f64>,
     hooks: &RunHooks<'_>,
@@ -585,6 +595,7 @@ fn raven_lp_size(
     let (count, _, relaxation) = uap_relaxation(
         problem,
         delta_box,
+        analyses,
         &config.pairs.pairs(problem.k()),
         l1_budget,
         config.threads,
@@ -608,6 +619,7 @@ fn verify_uap_spec(
     method: Method,
     config: &RavenConfig,
     margins: &[Vec<f64>],
+    analyses: Vec<DeepPolyAnalysis>,
     individually_verified: usize,
     start: Instant,
     l1_budget: Option<f64>,
@@ -645,11 +657,11 @@ fn verify_uap_spec(
         d_vars,
         objective,
     } = match method {
-        Method::IoLp => io_spec(problem, delta_box, config, margins, l1_budget),
+        Method::IoLp => io_spec(problem, delta_box, config, margins, &analyses, l1_budget),
         // Nothing would solve the relational LP: count it, don't build it.
         _ if individually_verified == k => {
             let (lp_rows, lp_vars) =
-                raven_lp_size(problem, delta_box, config, l1_budget, hooks, cert)?;
+                raven_lp_size(problem, delta_box, analyses, config, l1_budget, hooks, cert)?;
             return Some(analysis_tier(lp_rows, lp_vars));
         }
         _ => raven_spec(
@@ -657,6 +669,7 @@ fn verify_uap_spec(
             delta_box,
             config,
             margins,
+            analyses,
             l1_budget,
             hooks,
             cert.as_deref_mut(),
@@ -766,7 +779,7 @@ pub fn verify_targeted_uap_all(
     // Per-input margins against *all* other classes, computed once: the
     // analyses are target-independent, only the row lookup differs per
     // target.
-    let margins = individual_margins(base, &delta_box, method, config.threads);
+    let (margins, analyses) = individual_margins(base, &delta_box, method, config.threads);
     // Executions that could possibly be forced into `target`: margin to the
     // target class not provably positive (inputs already labelled `target`
     // are excluded — forcing them is vacuous).
@@ -807,6 +820,7 @@ pub fn verify_targeted_uap_all(
     let (shared, _, relaxation) = uap_relaxation(
         base,
         &delta_box,
+        analyses,
         &pairs,
         None,
         config.threads,
@@ -1087,9 +1101,11 @@ mod tests {
                     let cap = l1_budget.map_or(problem.eps, |b| problem.eps.min(b));
                     let delta_box = vec![Interval::symmetric(cap); 4];
                     let hooks = RunHooks::default();
+                    let analyses = || individual_margins(&problem, &delta_box, Method::Raven, 1).1;
                     let (lp, _, _) = uap_relaxation(
                         &problem,
                         &delta_box,
+                        analyses(),
                         &pairs.pairs(problem.k()),
                         l1_budget,
                         1,
@@ -1098,9 +1114,16 @@ mod tests {
                     )
                     .expect("default hooks never cancel");
                     let built = (lp.num_constraints(), lp.num_vars());
-                    let counted =
-                        raven_lp_size(&problem, &delta_box, &config, l1_budget, &hooks, None)
-                            .expect("default hooks never cancel");
+                    let counted = raven_lp_size(
+                        &problem,
+                        &delta_box,
+                        analyses(),
+                        &config,
+                        l1_budget,
+                        &hooks,
+                        None,
+                    )
+                    .expect("default hooks never cancel");
                     assert_eq!(
                         counted, built,
                         "case {case}: {kind}, {pairs:?}, {l1_budget:?}"

@@ -181,6 +181,21 @@ fn degraded_monotonicity_verdict_is_weaker_but_sound() {
     assert_eq!(degraded.tier, Tier::Analysis);
     // The fallback bound is sound, therefore never above the LP bound.
     assert!(degraded.certified_change <= exact.certified_change + 1e-9);
+    // It is the DeepPoly baseline's answer, bit for bit, bounded over the
+    // analyses the relaxation was built on.
+    let baseline = verify_monotonicity_with_hooks(
+        &problem,
+        Method::DeepPolyIndividual,
+        &config,
+        &RunHooks::default(),
+        false,
+    )
+    .expect("no cancellation")
+    .0;
+    assert_eq!(
+        degraded.certified_change.to_bits(),
+        baseline.certified_change.to_bits()
+    );
     // A degraded "verified" must still be a true verdict.
     if degraded.verified {
         assert!(exact.verified);

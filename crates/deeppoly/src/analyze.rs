@@ -74,26 +74,7 @@ impl DeepPolyAnalysis {
             let _layer_timer = raven_obs::Timer::start(&crate::metrics::LAYER_SECONDS);
             match step {
                 PlanStep::Affine { weight, bias } => {
-                    let concrete = back_substitute(plan, &bounds, &act_relax, k, weight, bias)
-                        .concretize(&bounds[0]);
-                    // Intersect with plain interval propagation: a single
-                    // symbolic line can concretize looser than the box on
-                    // saturating activations, and the intersection makes
-                    // DeepPoly dominate the Box domain by construction.
-                    let boxed = raven_interval::affine_image(weight, bias, &bounds[k]);
-                    let concrete: Vec<Interval> = concrete
-                        .iter()
-                        .zip(&boxed)
-                        .map(|(a, b)| {
-                            let t = a.intersect(b);
-                            if t.is_empty() {
-                                // Floating-point corner: keep the wider one.
-                                *b
-                            } else {
-                                t
-                            }
-                        })
-                        .collect();
+                    let (_, concrete) = affine_bounds(plan, &bounds, &act_relax, k, weight, bias);
                     bounds.push(concrete);
                     act_relax.push(None);
                 }
@@ -129,11 +110,7 @@ impl DeepPolyAnalysis {
     ///
     /// Panics when the analysis was produced from a different plan.
     pub fn relaxation_records(&self, plan: &AnalysisPlan) -> Vec<(ActKind, f64, f64, Relaxation)> {
-        assert_eq!(
-            self.bounds.len(),
-            plan.steps().len() + 1,
-            "analysis does not match plan"
-        );
+        self.assert_matches(plan);
         let mut records = Vec::new();
         for (k, step) in plan.steps().iter().enumerate() {
             if let (PlanStep::Act(kind), Some(relaxations)) = (step, &self.relaxations[k]) {
@@ -154,16 +131,63 @@ impl DeepPolyAnalysis {
     /// Panics when `plan` does not end with an affine step, or when the
     /// analysis was produced from a different plan.
     pub fn input_bounds(&self, plan: &AnalysisPlan) -> InputBounds {
+        self.assert_matches(plan);
+        let last = plan.steps().len() - 1;
+        let PlanStep::Affine { weight, bias } = &plan.steps()[last] else {
+            panic!("input_bounds requires the plan to end with an affine step");
+        };
+        affine_bounds(plan, &self.bounds, &self.relaxations, last, weight, bias).0
+    }
+
+    /// Bounds the affine map `weight · out + bias` of the output tensor
+    /// over the finished analysis: its symbolic bounds over the input
+    /// variables, and its concrete bounds over the input box.
+    ///
+    /// This is one more back-substitution, the same one [`run`] would
+    /// perform for the map appended to `plan` as a final affine step, so
+    /// the concrete bounds are bit for bit `run`'s output on the extended
+    /// plan — box intersection included — without re-running the steps
+    /// before it.
+    ///
+    /// [`run`]: DeepPolyAnalysis::run
+    ///
+    /// # Panics
+    ///
+    /// Panics when the analysis was produced from a different plan, or
+    /// when `weight`'s shape does not fit the output width and `bias`.
+    pub fn bound_output_map(
+        &self,
+        plan: &AnalysisPlan,
+        weight: &Matrix,
+        bias: &[f64],
+    ) -> (InputBounds, Vec<Interval>) {
+        self.assert_matches(plan);
+        assert_eq!(
+            weight.cols(),
+            plan.output_dim(),
+            "deeppoly: output map width mismatch"
+        );
+        assert_eq!(
+            weight.rows(),
+            bias.len(),
+            "deeppoly: output map bias mismatch"
+        );
+        affine_bounds(
+            plan,
+            &self.bounds,
+            &self.relaxations,
+            plan.steps().len(),
+            weight,
+            bias,
+        )
+    }
+
+    fn assert_matches(&self, plan: &AnalysisPlan) {
         assert_eq!(
             self.bounds.len(),
             plan.steps().len() + 1,
             "analysis does not match plan"
         );
-        let last = plan.steps().len() - 1;
-        let PlanStep::Affine { weight, bias } = &plan.steps()[last] else {
-            panic!("input_bounds requires the plan to end with an affine step");
-        };
-        back_substitute(plan, &self.bounds, &self.relaxations, last, weight, bias)
     }
 
     /// Concrete bounds on the network output.
@@ -200,11 +224,46 @@ impl InputBounds {
     }
 }
 
-/// Substitutes the symbolic bounds of affine step `k` (mapping boundary `k`
-/// to `k+1`) backwards to the input variables.
-fn back_substitute(
+/// Bounds the affine map `(weight, bias)` applied at plan boundary `k`
+/// (the input of step `k`, or the output when `k` is the step count):
+/// the symbolic bounds over the input variables, and the concrete bounds
+/// over the input box `bounds[0]`, intersected with plain interval
+/// propagation of `bounds[k]`. Only boundaries `0..=k` are read.
+fn affine_bounds(
     plan: &AnalysisPlan,
     bounds: &[Vec<Interval>],
+    act_relax: &[Option<Vec<Relaxation>>],
+    k: usize,
+    weight: &Matrix,
+    bias: &[f64],
+) -> (InputBounds, Vec<Interval>) {
+    let sym = back_substitute(plan, act_relax, k, weight, bias);
+    // Intersect with plain interval propagation: a single symbolic line
+    // can concretize looser than the box on saturating activations, and
+    // the intersection makes DeepPoly dominate the Box domain by
+    // construction.
+    let boxed = raven_interval::affine_image(weight, bias, &bounds[k]);
+    let concrete = sym
+        .concretize(&bounds[0])
+        .iter()
+        .zip(&boxed)
+        .map(|(a, b)| {
+            let t = a.intersect(b);
+            if t.is_empty() {
+                // Floating-point corner: keep the wider one.
+                *b
+            } else {
+                t
+            }
+        })
+        .collect();
+    (sym, concrete)
+}
+
+/// Substitutes the symbolic bounds of the affine map `(weight, bias)`
+/// applied at plan boundary `k` backwards to the input variables.
+fn back_substitute(
+    plan: &AnalysisPlan,
     act_relax: &[Option<Vec<Relaxation>>],
     k: usize,
     weight: &Matrix,
@@ -240,7 +299,6 @@ fn back_substitute(
             }
         }
     }
-    let _ = bounds; // boundary data only needed by callers via `concretize`
     InputBounds {
         lower_coeffs: sym.lower_coeffs,
         lower_const: sym.lower_const,

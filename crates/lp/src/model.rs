@@ -63,8 +63,16 @@ impl LinExpr {
         self.terms.iter().map(|&(v, c)| c * x[v.0]).sum()
     }
 
-    /// Merges duplicate variables by summing coefficients.
+    /// Merges duplicate variables by summing coefficients and drops zero
+    /// coefficients, leaving the terms in increasing variable order. An
+    /// expression already in that form (the encoder's rows) is returned
+    /// as is, without sorting or copying.
     pub fn normalized(mut self) -> Self {
+        let in_form = self.terms.windows(2).all(|w| w[0].0 < w[1].0)
+            && self.terms.iter().all(|&(_, c)| c != 0.0);
+        if in_form {
+            return self;
+        }
         self.terms.sort_by_key(|&(v, _)| v);
         let mut out: Vec<(VarId, f64)> = Vec::with_capacity(self.terms.len());
         for (v, c) in self.terms {
@@ -80,7 +88,10 @@ impl LinExpr {
 
 impl FromIterator<(VarId, f64)> for LinExpr {
     fn from_iter<I: IntoIterator<Item = (VarId, f64)>>(iter: I) -> Self {
-        let mut e = LinExpr::new();
+        let iter = iter.into_iter();
+        let mut e = LinExpr {
+            terms: Vec::with_capacity(iter.size_hint().0),
+        };
         for (v, c) in iter {
             e.push(c, v);
         }
@@ -494,6 +505,24 @@ mod tests {
         assert_eq!(e.terms(), &[(x, 3.0)]);
         let z = LinExpr::new().term(1.0, x).term(-1.0, x).normalized();
         assert!(z.terms().is_empty());
+    }
+
+    #[test]
+    fn linexpr_in_normal_form_is_returned_untouched() {
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 1.0);
+        let y = p.add_var(0.0, 1.0);
+        let e = LinExpr::new().term(2.0, x).term(-1.0, y);
+        let ptr = e.terms().as_ptr();
+        let n = e.normalized();
+        assert_eq!(n.terms(), &[(x, 2.0), (y, -1.0)]);
+        assert_eq!(
+            n.terms().as_ptr(),
+            ptr,
+            "an expression in form is not copied"
+        );
+        let swapped = LinExpr::new().term(-1.0, y).term(2.0, x).normalized();
+        assert_eq!(swapped.terms(), &[(x, 2.0), (y, -1.0)]);
     }
 
     #[test]

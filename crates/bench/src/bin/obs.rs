@@ -20,21 +20,42 @@
 //! like across baselines that predate them.
 //!
 //! Usage: `cargo run -p raven-bench --release --bin obs -- [--out FILE]
-//! [--threads n] [--check BASELINE]` (default output `BENCH_obs.json`).
+//! [--threads n] [--check BASELINE]` (default output `BENCH_obs.json`;
+//! `--help` lists the flags).
 //! With `--check`, the freshly measured pivot total (primal + dual) and
 //! the DeepPoly relaxed-neuron count (one per activation neuron per
 //! DeepPoly pass) are compared against the committed baseline, and the
 //! process exits non-zero when either grows by more than 20% — wired into
 //! `scripts/tier1.sh`.
 
+use raven::flags::{self, Command, Flag, UsageError};
 use raven::{
     verify_monotonicity, verify_monotonicity_with_hooks, verify_targeted_uap_all, verify_uap,
     verify_uap_with_hooks, Method, MonotonicityProblem, RavenConfig, RunHooks, UapProblem,
 };
 use raven_bench::models::{fc_model, uap_batches, Training};
+use raven_bench::THREADS;
 use raven_json::Json;
 use raven_obs::Counter;
 use std::time::Instant;
+
+const OUT: Flag = Flag::valued(
+    "--out",
+    "FILE",
+    "where to write the report (default BENCH_obs.json)",
+);
+const CHECK: Flag = Flag::valued(
+    "--check",
+    "BASELINE",
+    "exit 1 when total pivots or DeepPoly relaxed neurons exceed the baseline's by over 20%",
+);
+const OBS: Command = Command {
+    name: "obs",
+    args: "",
+    about: "Runs the fixed obs workload and writes its wall time and solver counters as JSON.",
+    flags: &[OUT, THREADS, CHECK],
+    commands: &[],
+};
 
 /// The counters recorded in the report, with their JSON keys.
 fn counters() -> Vec<(&'static str, &'static Counter)> {
@@ -98,17 +119,21 @@ fn gated_work(report: &Json) -> [(&'static str, f64); 2] {
     ]
 }
 
+/// `(threads, report path, baseline path)` from argv.
+fn read_flags(argv: &[String]) -> Result<(usize, String, Option<String>), UsageError> {
+    let parsed = flags::parse(&OBS, argv)?;
+    Ok((
+        parsed.value(&THREADS)?.unwrap_or(1),
+        parsed
+            .value(&OUT)?
+            .unwrap_or_else(|| "BENCH_obs.json".to_string()),
+        parsed.value(&CHECK)?,
+    ))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = raven_bench::threads_arg(&args);
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out = flag("--out").unwrap_or_else(|| "BENCH_obs.json".to_string());
-    let check = flag("--check");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (threads, out, check) = read_flags(&argv).unwrap_or_else(|e| OBS.usage_exit(e));
 
     // Phase timings need the clock-reading side of telemetry.
     raven_obs::set_enabled(true);
@@ -302,8 +327,9 @@ fn main() {
             if now > limit {
                 eprintln!(
                     "FAIL: {name} regressed by more than 20% ({now:.0} > {limit:.0}); \
-                     rerun with --out to refresh the baseline if the regression \
-                     is intentional"
+                     rerun with {} to refresh the baseline if the regression \
+                     is intentional",
+                    OUT.name
                 );
                 regressed = true;
             }

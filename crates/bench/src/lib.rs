@@ -4,8 +4,10 @@
 //! evaluation (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
 //! for recorded results):
 //!
-//! * `cargo run -p raven-bench --release --bin tables -- all` — T1–T5
-//! * `cargo run -p raven-bench --release --bin figures -- all` — F1–F4
+//! * `cargo run -p raven-bench --release --bin tables -- all` — t1–t7
+//! * `cargo run -p raven-bench --release --bin figures -- all` — f1–f6
+//! * `cargo run -p raven-bench --release --bin obs` — the solver-work
+//!   report `BENCH_obs.json` that `scripts/tier1.sh` gates on
 //! * `cargo bench -p raven-bench` — micro-benchmarks of the domains and
 //!   the LP solver (self-contained harness in [`timing`]).
 //!
@@ -19,48 +21,9 @@ pub mod report;
 pub mod tables;
 pub mod timing;
 
-/// Parses a `--threads n` pair from raw binary arguments (default 1; `0`
-/// means all cores, matching `RavenConfig::threads`).
-pub fn threads_arg(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// The positional (non-flag) arguments, skipping `--threads`' value.
-pub fn positional_args(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            it.next();
-        } else if !arg.starts_with("--") {
-            out.push(arg.clone());
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod arg_tests {
-    use super::*;
-
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn threads_and_positionals_parse_together() {
-        let args = strs(&["--quick", "--threads", "4", "t1", "t5"]);
-        assert_eq!(threads_arg(&args), 4);
-        assert_eq!(positional_args(&args), strs(&["t1", "t5"]));
-        let bare = strs(&["all"]);
-        assert_eq!(threads_arg(&bare), 1);
-        assert_eq!(positional_args(&bare), strs(&["all"]));
-        let trailing = strs(&["t2", "--threads"]);
-        assert_eq!(threads_arg(&trailing), 1);
-        assert_eq!(positional_args(&trailing), strs(&["t2"]));
-    }
-}
+/// The `--threads` flag of the `tables`, `figures` and `obs` binaries.
+pub const THREADS: raven::flags::Flag = raven::flags::Flag::valued(
+    "--threads",
+    "n",
+    "solver threads: 0 = all cores, 1 = sequential (default 1)",
+);

@@ -53,6 +53,7 @@
 mod certificate;
 mod config;
 pub mod encode;
+pub mod flags;
 pub mod hooks;
 pub mod margin;
 pub mod metrics;

@@ -1,62 +1,149 @@
 //! `raven_serve` — the verification service binary.
 //!
 //! ```text
-//! raven_serve --models-dir models [--addr 127.0.0.1:8080] [--workers 2]
-//!             [--queue-capacity 32] [--cache-capacity 256]
-//!             [--request-timeout-secs 60] [--threads 1]
+//! raven_serve --models-dir models [--addr 127.0.0.1:8080] [flags]
 //! ```
+//!
+//! `raven_serve --help` lists every flag with its default.
 //!
 //! The first ctrl-c / SIGTERM starts a graceful shutdown (drain accepted
 //! jobs, answer their connections, exit). A second signal escalates and
 //! cancels in-flight verifications at their next phase boundary.
 
+use raven::flags::{self, Command, Flag, UsageError};
+use raven_serve::journal::JournalConfig;
 use raven_serve::{registry::ModelRegistry, Server, ServerConfig};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-const USAGE: &str = "\
-usage: raven_serve --models-dir DIR [options]
+const MODELS_DIR: Flag = Flag::valued(
+    "--models-dir",
+    "DIR",
+    "directory of *.net model files (required)",
+);
+const ADDR: Flag = Flag::valued(
+    "--addr",
+    "HOST:PORT",
+    "bind address (default 127.0.0.1:8080; port 0 = ephemeral)",
+);
+const WORKERS: Flag = Flag::valued(
+    "--workers",
+    "N",
+    "verification worker threads (default 2; 0 = all cores)",
+);
+const QUEUE_CAPACITY: Flag = Flag::valued(
+    "--queue-capacity",
+    "N",
+    "queued jobs before 429 (default 32)",
+);
+const CACHE_CAPACITY: Flag = Flag::valued(
+    "--cache-capacity",
+    "N",
+    "cached verdicts, LRU (default 256; 0 disables)",
+);
+const REQUEST_TIMEOUT_SECS: Flag = Flag::valued(
+    "--request-timeout-secs",
+    "N",
+    "sync request wait before 504 (default 60)",
+);
+const THREADS: Flag = Flag::valued(
+    "--threads",
+    "N",
+    "per-job solver threads (default 1; 0 = all cores)",
+);
+const DEADLINE_MS: Flag = Flag::valued(
+    "--deadline-ms",
+    "N",
+    "default per-job solve deadline; past it a job answers a sound degraded verdict \
+     (default unlimited; a request's \"deadline_ms\" overrides)",
+);
+const MAX_BODY_BYTES: Flag = Flag::valued(
+    "--max-body-bytes",
+    "N",
+    "largest accepted request body; larger ones answer 413 (default 67108864 = 64 MiB)",
+);
+const JOURNAL_DIR: Flag = Flag::valued(
+    "--journal-dir",
+    "DIR",
+    "write-ahead job journal for crash recovery, idempotent retries and verdict replay \
+     across restarts (default disabled)",
+);
+const JOURNAL_SEGMENT_BYTES: Flag = Flag::valued(
+    "--journal-segment-bytes",
+    "N",
+    "rotate journal segments past this size (default 4 MiB)",
+);
+const JOURNAL_CAP_BYTES: Flag = Flag::valued(
+    "--journal-cap-bytes",
+    "N",
+    "compact or delete old segments to keep the journal below this size (default 64 MiB)",
+);
+const WATCHDOG_GRACE_MS: Flag = Flag::valued(
+    "--watchdog-grace-ms",
+    "N",
+    "cancel jobs stuck this long past their deadline (default 2000)",
+);
+const JOB_RETRIES: Flag = Flag::valued(
+    "--job-retries",
+    "N",
+    "re-run a panicked job up to N times with exponential backoff (default 1)",
+);
+const CLIENT_TIMEOUT_MS: Flag = Flag::valued(
+    "--client-timeout-ms",
+    "N",
+    "per-connection client socket read/write timeout (default 10000)",
+);
+const STRICT_CERTIFICATES: Flag = Flag::switch(
+    "--strict-certificates",
+    "recompute a job whose certificate fails its own spot check instead of serving it",
+);
+const TRACE_SLOW_MS: Flag = Flag::valued(
+    "--trace-slow-ms",
+    "N",
+    "always keep traces of requests this slow (default 500; degraded, errored and \
+     retried ones are always kept)",
+);
+const TRACE_SAMPLE_RATE: Flag = Flag::valued(
+    "--trace-sample-rate",
+    "R",
+    "probability in [0, 1] of keeping any other request's trace (default 1.0)",
+);
+const TRACE_CAPACITY: Flag = Flag::valued(
+    "--trace-capacity",
+    "N",
+    "traces kept behind /v1/traces before the oldest is evicted (default 256)",
+);
 
-options:
-  --models-dir DIR            directory of *.net model files (required)
-  --addr HOST:PORT            bind address (default 127.0.0.1:8080; port 0 = ephemeral)
-  --workers N                 verification worker threads (default 2; 0 = all cores)
-  --queue-capacity N          queued jobs before 429 (default 32)
-  --cache-capacity N          cached verdicts, LRU (default 256; 0 disables)
-  --request-timeout-secs N    sync request wait before 504 (default 60)
-  --threads N                 per-job solver threads (default 1; 0 = all cores)
-  --deadline-ms N             default per-job solve deadline in milliseconds;
-                              jobs that exhaust it answer with a sound degraded
-                              verdict (default unlimited; per-request
-                              \"deadline_ms\" overrides)
-  --max-body-bytes N          largest accepted request body (default 67108864
-                              = 64 MiB; oversized bodies answer 413)
-  --journal-dir DIR           write-ahead job journal directory; enables
-                              crash recovery, idempotent retries, and verdict
-                              replay across restarts (default: disabled)
-  --journal-segment-bytes N   rotate journal segments past this size
-                              (default 4 MiB)
-  --journal-cap-bytes N       keep the journal directory below this size by
-                              compacting/deleting old segments (default 64 MiB)
-  --watchdog-grace-ms N       cancel jobs stuck this long past their deadline
-                              (default 2000)
-  --job-retries N             re-run a panicked job up to N times with
-                              exponential backoff before failing (default 1)
-  --client-timeout-ms N       per-connection client socket read/write timeout
-                              (default 10000)
-  --strict-certificates       recompute a job whose emitted certificate
-                              fails its own spot check instead of serving
-                              the unverifiable response
-  --trace-slow-ms N           tail sampling always keeps traces of requests
-                              at least this slow (default 500; degraded,
-                              errored, and retried requests are always kept)
-  --trace-sample-rate R       probability in [0,1] of keeping an otherwise
-                              uninteresting request's trace (default 1.0)
-  --trace-capacity N          retained traces behind /v1/traces before the
-                              oldest is evicted (default 256)
-";
+const RAVEN_SERVE: Command = Command {
+    name: "raven_serve",
+    args: "",
+    about: "Serves RaVeN verifications over HTTP/1.1 + JSON. The first SIGINT/SIGTERM drains \
+            accepted jobs and exits; a second cancels in-flight verifications.",
+    flags: &[
+        MODELS_DIR,
+        ADDR,
+        WORKERS,
+        QUEUE_CAPACITY,
+        CACHE_CAPACITY,
+        REQUEST_TIMEOUT_SECS,
+        THREADS,
+        DEADLINE_MS,
+        MAX_BODY_BYTES,
+        JOURNAL_DIR,
+        JOURNAL_SEGMENT_BYTES,
+        JOURNAL_CAP_BYTES,
+        WATCHDOG_GRACE_MS,
+        JOB_RETRIES,
+        CLIENT_TIMEOUT_MS,
+        STRICT_CERTIFICATES,
+        TRACE_SLOW_MS,
+        TRACE_SAMPLE_RATE,
+        TRACE_CAPACITY,
+    ],
+    commands: &[],
+};
 
 /// Signals received so far (1 = graceful, 2+ = force cancel).
 static SIGNALS: AtomicUsize = AtomicUsize::new(0);
@@ -90,99 +177,61 @@ struct Args {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut models_dir = None;
-    let mut config = ServerConfig {
-        addr: "127.0.0.1:8080".to_string(),
+    let flags = flags::parse(&RAVEN_SERVE, argv)?;
+    let models_dir = flags.required(&MODELS_DIR)?;
+    let millis = |flag: &Flag| -> Result<Option<Duration>, UsageError> {
+        Ok(flags.value(flag)?.map(Duration::from_millis))
+    };
+    let defaults = ServerConfig::default();
+    let trace_sample_rate = flags
+        .value(&TRACE_SAMPLE_RATE)?
+        .unwrap_or(defaults.trace_sample_rate);
+    if !(0.0..=1.0).contains(&trace_sample_rate) {
+        return Err(format!("{} must be in [0, 1]", TRACE_SAMPLE_RATE.name));
+    }
+    let config = ServerConfig {
+        addr: flags
+            .value(&ADDR)?
+            .unwrap_or_else(|| "127.0.0.1:8080".to_string()),
+        workers: flags.value(&WORKERS)?.unwrap_or(defaults.workers),
+        queue_capacity: flags
+            .value(&QUEUE_CAPACITY)?
+            .unwrap_or(defaults.queue_capacity),
+        cache_capacity: flags
+            .value(&CACHE_CAPACITY)?
+            .unwrap_or(defaults.cache_capacity),
+        request_timeout: flags
+            .value(&REQUEST_TIMEOUT_SECS)?
+            .map_or(defaults.request_timeout, Duration::from_secs),
+        job_threads: flags.value(&THREADS)?.unwrap_or(defaults.job_threads),
+        max_body_bytes: flags
+            .value(&MAX_BODY_BYTES)?
+            .unwrap_or(defaults.max_body_bytes),
+        default_deadline: millis(&DEADLINE_MS)?,
+        journal_dir: flags.value(&JOURNAL_DIR)?,
+        journal: JournalConfig {
+            segment_bytes: flags
+                .value(&JOURNAL_SEGMENT_BYTES)?
+                .unwrap_or(defaults.journal.segment_bytes),
+            cap_bytes: flags
+                .value(&JOURNAL_CAP_BYTES)?
+                .unwrap_or(defaults.journal.cap_bytes),
+        },
+        watchdog_grace: millis(&WATCHDOG_GRACE_MS)?.unwrap_or(defaults.watchdog_grace),
         // The service binary retries a panicked job once by default; the
         // library default (0) keeps one-attempt semantics for embedders.
-        job_retries: 1,
-        ..ServerConfig::default()
+        job_retries: flags.value(&JOB_RETRIES)?.unwrap_or(1),
+        client_timeout: millis(&CLIENT_TIMEOUT_MS)?.unwrap_or(defaults.client_timeout),
+        strict_certificates: flags.has(&STRICT_CERTIFICATES),
+        trace_slow_ms: flags
+            .value(&TRACE_SLOW_MS)?
+            .unwrap_or(defaults.trace_slow_ms),
+        trace_sample_rate,
+        trace_capacity: flags
+            .value(&TRACE_CAPACITY)?
+            .unwrap_or(defaults.trace_capacity),
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .map(|s| s.to_string())
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--models-dir" => models_dir = Some(value("--models-dir")?),
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => {
-                config.workers = parse_num(&value("--workers")?, "--workers")?;
-            }
-            "--queue-capacity" => {
-                config.queue_capacity = parse_num(&value("--queue-capacity")?, "--queue-capacity")?;
-            }
-            "--cache-capacity" => {
-                config.cache_capacity = parse_num(&value("--cache-capacity")?, "--cache-capacity")?;
-            }
-            "--request-timeout-secs" => {
-                let secs: usize =
-                    parse_num(&value("--request-timeout-secs")?, "--request-timeout-secs")?;
-                config.request_timeout = Duration::from_secs(secs as u64);
-            }
-            "--threads" => {
-                config.job_threads = parse_num(&value("--threads")?, "--threads")?;
-            }
-            "--deadline-ms" => {
-                let ms: usize = parse_num(&value("--deadline-ms")?, "--deadline-ms")?;
-                config.default_deadline = Some(Duration::from_millis(ms as u64));
-            }
-            "--max-body-bytes" => {
-                config.max_body_bytes = parse_num(&value("--max-body-bytes")?, "--max-body-bytes")?;
-            }
-            "--journal-dir" => {
-                config.journal_dir = Some(std::path::PathBuf::from(value("--journal-dir")?));
-            }
-            "--journal-segment-bytes" => {
-                config.journal.segment_bytes = parse_num(
-                    &value("--journal-segment-bytes")?,
-                    "--journal-segment-bytes",
-                )? as u64;
-            }
-            "--journal-cap-bytes" => {
-                config.journal.cap_bytes =
-                    parse_num(&value("--journal-cap-bytes")?, "--journal-cap-bytes")? as u64;
-            }
-            "--watchdog-grace-ms" => {
-                let ms: usize = parse_num(&value("--watchdog-grace-ms")?, "--watchdog-grace-ms")?;
-                config.watchdog_grace = Duration::from_millis(ms as u64);
-            }
-            "--job-retries" => {
-                config.job_retries = parse_num(&value("--job-retries")?, "--job-retries")? as u32;
-            }
-            "--client-timeout-ms" => {
-                let ms: usize = parse_num(&value("--client-timeout-ms")?, "--client-timeout-ms")?;
-                config.client_timeout = Duration::from_millis(ms as u64);
-            }
-            "--strict-certificates" => config.strict_certificates = true,
-            "--trace-slow-ms" => {
-                config.trace_slow_ms =
-                    parse_num(&value("--trace-slow-ms")?, "--trace-slow-ms")? as u64;
-            }
-            "--trace-sample-rate" => {
-                let raw = value("--trace-sample-rate")?;
-                let rate: f64 = raw
-                    .parse()
-                    .map_err(|e| format!("--trace-sample-rate: {e}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err("--trace-sample-rate must be in [0, 1]".to_string());
-                }
-                config.trace_sample_rate = rate;
-            }
-            "--trace-capacity" => {
-                config.trace_capacity = parse_num(&value("--trace-capacity")?, "--trace-capacity")?;
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    let models_dir = models_dir.ok_or_else(|| "missing --models-dir".to_string())?;
     Ok(Args { models_dir, config })
-}
-
-fn parse_num(text: &str, flag: &str) -> Result<usize, String> {
-    text.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 fn main() -> ExitCode {
@@ -190,13 +239,7 @@ fn main() -> ExitCode {
     // RAVEN_SERVE_CHAOS_* variables are set and chaos is compiled in).
     raven_serve::chaos::arm_from_env();
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("error: {msg}\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = parse_args(&argv).unwrap_or_else(|msg| RAVEN_SERVE.usage_exit(msg));
     let registry = match ModelRegistry::load_dir(Path::new(&args.models_dir)) {
         Ok(registry) => registry,
         Err(msg) => {

@@ -12,7 +12,8 @@ cargo test -q
 # raven-lp and raven-serve enable their own `chaos` feature for tests.
 cargo test --release --workspace -q
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, benches and examples are linted too.
+cargo clippy --workspace --all-targets -- -D warnings
 # Public docs must not link to private or deleted items.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 scripts/check_metrics.sh

@@ -7,7 +7,7 @@
 //! model, snapshots the solver/analysis counters before and after, and
 //! records the deltas next to the timing — so a perf regression (or win)
 //! in a future change decomposes into pivots, dual pivots, warm starts,
-//! B&B nodes, presolve eliminations, and per-phase seconds.
+//! B&B nodes, and per-phase seconds.
 //!
 //! The high-ε batch and the per-label targeted queries are sized so the
 //! spec MILP actually branches: `milp_nodes`, `lp_dual_pivots`, and
@@ -26,7 +26,8 @@
 //! the DeepPoly relaxed-neuron count (one per activation neuron per
 //! DeepPoly pass) are compared against the committed baseline, and the
 //! process exits non-zero when either grows by more than 20% — wired into
-//! `scripts/tier1.sh`.
+//! `scripts/tier1.sh`. The baseline is read before the workload runs: a
+//! missing or malformed file exits 1 at once.
 
 use raven::flags::{self, Command, Flag, UsageError};
 use raven::{
@@ -67,11 +68,6 @@ fn counters() -> Vec<(&'static str, &'static Counter)> {
         ("lp_warm_starts", &lp_m::LP_WARM_STARTS),
         ("lp_refactorizations", &lp_m::LP_REFACTORIZATIONS),
         ("lp_solves", &lp_m::LP_SOLVES),
-        ("presolve_rows_removed", &lp_m::PRESOLVE_ROWS_REMOVED),
-        (
-            "presolve_bounds_tightened",
-            &lp_m::PRESOLVE_BOUNDS_TIGHTENED,
-        ),
         ("milp_nodes", &lp_m::MILP_NODES),
         ("milp_nodes_pruned", &lp_m::MILP_NODES_PRUNED),
         ("milp_incumbent_updates", &lp_m::MILP_INCUMBENT_UPDATES),
@@ -119,6 +115,17 @@ fn gated_work(report: &Json) -> [(&'static str, f64); 2] {
     ]
 }
 
+/// The baseline report at `path`: a JSON object with a `counters` object.
+fn read_baseline(path: &str) -> Result<Json, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let baseline = Json::parse(&text).map_err(|e| format!("baseline {path} is not JSON: {e}"))?;
+    match baseline.get("counters") {
+        Some(Json::Obj(_)) => Ok(baseline),
+        _ => Err(format!("baseline {path} has no \"counters\" object")),
+    }
+}
+
 /// `(threads, report path, baseline path)` from argv.
 fn read_flags(argv: &[String]) -> Result<(usize, String, Option<String>), UsageError> {
     let parsed = flags::parse(&OBS, argv)?;
@@ -134,6 +141,12 @@ fn read_flags(argv: &[String]) -> Result<(usize, String, Option<String>), UsageE
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (threads, out, check) = read_flags(&argv).unwrap_or_else(|e| OBS.usage_exit(e));
+    let baseline = check.map(|path| {
+        read_baseline(&path).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    });
 
     // Phase timings need the clock-reading side of telemetry.
     raven_obs::set_enabled(true);
@@ -316,10 +329,7 @@ fn main() {
     std::fs::write(&out, format!("{report}\n")).expect("write report");
     println!("wrote {out} ({wall_millis:.0} ms workload)");
 
-    if let Some(baseline_path) = check {
-        let text = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let baseline = Json::parse(&text).expect("baseline parses");
+    if let Some(baseline) = baseline {
         let mut regressed = false;
         for ((name, base), (_, now)) in gated_work(&baseline).into_iter().zip(gated_work(&report)) {
             let limit = base * 1.2;

@@ -1,6 +1,6 @@
 //! The bench binaries' command lines: `--help` is generated from each
-//! binary's flag table, and malformed invocations exit 2 before any
-//! workload runs.
+//! binary's flag table, malformed invocations exit 2 before any workload
+//! runs, and an unusable `obs --check` baseline exits 1 just as early.
 
 use std::process::{Command, Output};
 
@@ -52,4 +52,30 @@ fn malformed_invocations_exit_2_before_running() {
         );
         assert!(out.stdout.is_empty(), "{bin} {args:?} ran a workload");
     }
+}
+
+#[test]
+fn unusable_baseline_is_a_runtime_error_before_running() {
+    let dir = std::env::temp_dir().join(format!("raven-obs-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let not_json = dir.join("not_json.json");
+    std::fs::write(&not_json, "{\"counters\": ").expect("write baseline");
+    let no_counters = dir.join("no_counters.json");
+    std::fs::write(&no_counters, "{\"bench\": \"obs\"}").expect("write baseline");
+    let missing = dir.join("missing.json");
+    for (path, error) in [
+        (&missing, "cannot read baseline"),
+        (&not_json, "is not JSON"),
+        (&no_counters, "has no \"counters\" object"),
+    ] {
+        let path = path.to_str().expect("utf-8 path");
+        let out = run(OBS, &["--check", path, "--out", path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{path}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{path}: {stderr}");
+        assert!(stderr.contains(error), "{path}: {stderr}");
+        assert!(out.stdout.is_empty(), "{path}: the workload ran");
+    }
+    assert!(!missing.exists(), "no report was written");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
 }

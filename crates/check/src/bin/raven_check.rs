@@ -5,6 +5,8 @@
 //! envelope containing a `"certificate"` field (so a `/v1/verify/*` or
 //! `/v1/jobs/<id>` response can be piped straight in). Prints a one-line
 //! JSON report and exits 0 on accept, 1 on reject, 2 on malformed input.
+//! A usage error — a flag other than `-h`/`--help`, or a second file —
+//! prints `error: …` and the usage on stderr and exits 2.
 
 use raven_check::{check_certificate_json, CheckError};
 use raven_json::Json;
@@ -19,14 +21,37 @@ fn fail(code: i32, msg: &str) -> ! {
     std::process::exit(code);
 }
 
+const USAGE: &str = "usage: raven_check [certificate.json]   (reads stdin when no file is given)
+accepts a bare certificate or an envelope with a \"certificate\" field";
+
+/// The certificate file named in argv, if any: at most one argument, and
+/// no flags besides help (handled before this).
+fn read_args(args: &[String]) -> Result<Option<&str>, String> {
+    let mut path = None;
+    for arg in args {
+        if arg.starts_with('-') {
+            return Err(format!("unknown flag {arg}"));
+        }
+        if let Some(first) = path.replace(arg.as_str()) {
+            return Err(format!(
+                "unexpected argument {arg}: one certificate file at most (got {first})"
+            ));
+        }
+    }
+    Ok(path)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: raven_check [certificate.json]   (reads stdin when no file is given)");
-        eprintln!("accepts a bare certificate or an envelope with a \"certificate\" field");
+        eprintln!("{USAGE}");
         std::process::exit(0);
     }
-    let text = match args.first() {
+    let path = read_args(&args).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let text = match path {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(err) => fail(2, &format!("cannot read {path}: {err}")),

@@ -275,11 +275,6 @@ fn print_stats() {
         lp_m::MILP_NODES_PRUNED.get(),
         lp_m::MILP_INCUMBENT_UPDATES.get()
     );
-    eprintln!(
-        "presolve           : {} rows removed, {} bounds tightened",
-        lp_m::PRESOLVE_ROWS_REMOVED.get(),
-        lp_m::PRESOLVE_BOUNDS_TIGHTENED.get()
-    );
     let phases: [(&str, &raven_obs::Histogram); 5] = [
         ("margins", &core_m::PHASE_MARGINS_SECONDS),
         ("analysis", &core_m::PHASE_ANALYSIS_SECONDS),

@@ -3,22 +3,19 @@
 //! per-neuron relaxation records from DeepPoly — into one
 //! [`raven_check::Certificate`] the exact checker can replay.
 //!
-//! Emission is strictly additive: the primary solve and its verdict are
-//! untouched. The LP evidence comes from a *secondary* certified solve
-//! (presolve disabled so duals align with the recorded rows), matched to
-//! the tier the verdict actually used; its claimed bound is the secondary
-//! solve's own bound, which can differ in the last ulps from the verdict's
-//! anytime bound but proves the same property. When any piece of evidence
-//! is unavailable (budget ran dry again, unbounded relaxation, a method
-//! that discards its analyses) the certificate simply omits that section —
-//! or is `None` entirely — without affecting the verdict.
+//! Emission is strictly additive: the verdict is computed the same way
+//! with or without a sink. The LP evidence is the certificate of the very
+//! solve that produced the verdict's bound — the MILP, or the LP
+//! relaxation the ladder fell to — so its claimed bound is exactly the
+//! bound the verdict reports, before the verdict clamps it. When any piece of evidence is unavailable
+//! (an uncertifiable branch-and-bound tree, an unbounded relaxation, a
+//! verdict settled at the analysis tier, a method that discards its
+//! analyses) the certificate simply omits that section — or is `None`
+//! entirely — without affecting the verdict.
 
-use crate::config::RavenConfig;
-use crate::hooks::RunHooks;
 use crate::tier::Tier;
 use raven_check::{AnalysisCertificate, AnalysisNeuron, Certificate, LpCertificate};
 use raven_deeppoly::DeepPolyAnalysis;
-use raven_lp::LpProblem;
 use raven_nn::{ActKind, AnalysisPlan};
 
 /// The checker's lowercase name for an activation kind.
@@ -42,30 +39,6 @@ pub struct CertSink {
 }
 
 impl CertSink {
-    /// Runs the secondary certified solve matched to the tier the primary
-    /// verdict settled on. Analysis-tier verdicts carry no LP evidence —
-    /// their bound never came from the solver.
-    pub(crate) fn solve_lp(
-        &mut self,
-        lp: &LpProblem,
-        tier: Tier,
-        config: &RavenConfig,
-        hooks: &RunHooks<'_>,
-    ) {
-        let budget = hooks.lp_budget();
-        self.lp = match tier {
-            Tier::Milp => lp
-                .solve_milp_certified(&config.milp, &budget)
-                .ok()
-                .and_then(|(_, cert)| cert),
-            Tier::Lp => lp
-                .solve_certified(&config.simplex, &budget)
-                .ok()
-                .and_then(|(_, cert)| cert),
-            Tier::Analysis => None,
-        };
-    }
-
     /// Records every activation relaxation the given DeepPoly analyses
     /// used, in the checker's vocabulary. Sigmoid/tanh neurons are included
     /// too — the checker tallies them as trusted rather than replayed.

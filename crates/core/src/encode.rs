@@ -9,6 +9,13 @@
 //! linking equalities `Δ = h_A − h_B`, and the DiffPoly δ-space lines as
 //! linear cross-execution constraints.
 //!
+//! A row whose right side is constant is written as the bound it puts on
+//! its one variable, never as a one-variable row. In a shared-perturbation
+//! (UAP) batch that is every first-layer δ-row: the pair's input
+//! difference `z_a − z_b` is a constant, so DiffPoly's lines there are
+//! exact (the ReluDiff observation). The solver therefore receives no
+//! singleton rows, and its duals index the rows the encoder wrote.
+//!
 //! Affine layers are substituted inline: pre-activation expressions are
 //! kept as sparse linear expressions over the previous layer's variables,
 //! so the LP never carries explicit pre-activation variables.
@@ -125,35 +132,6 @@ impl Expr {
     }
 }
 
-/// Adds the row `target (sense) slope·expr + intercept`, written as
-/// `target − slope·expr.terms (sense) slope·expr.constant + intercept`.
-fn add_row(
-    problem: &mut LpProblem,
-    target: VarId,
-    sense: Sense,
-    slope: f64,
-    intercept: f64,
-    expr: &Expr,
-) {
-    // `target` is always a variable created after every one `expr` uses, so
-    // it never cancels and the row's terms arrive sorted.
-    debug_assert!(
-        expr.terms.last().is_none_or(|&(v, _)| v < target),
-        "row target must be newer than every variable of its expression"
-    );
-    // `LinExpr` drops the coefficients that round to zero.
-    let lin: LinExpr = expr
-        .terms
-        .iter()
-        .map(|&(v, c)| (v, -(slope * c)))
-        .chain(iter::once((target, 1.0)))
-        .collect();
-    let constant = intercept + slope * expr.constant;
-    // Moving the constant across gives `−(0 − c)`: a zero constant keeps
-    // the `-0` right-hand side that the LP text prints.
-    problem.add_constraint(lin, sense, -(0.0 - constant));
-}
-
 /// Dense per-variable sums for [`compose_affine`], indexed by
 /// `VarId::index()` and reused across rows, layers and executions.
 #[derive(Default)]
@@ -234,7 +212,9 @@ pub(crate) trait RowSink {
     ) -> Vec<Self::Expr>;
     /// Adds a variable over `[lo, hi]`.
     fn add_var(&mut self, lo: f64, hi: f64) -> Self::Var;
-    /// Adds the row `target (sense) slope·expr + intercept`.
+    /// Adds the row `target (sense) slope·expr + intercept`, unless its
+    /// right side is constant ([`is_bound`]): then the row is only the
+    /// bound it puts on `target`.
     fn add_row(
         &mut self,
         target: Self::Var,
@@ -279,9 +259,45 @@ impl RowSink for LpProblem {
         LpProblem::add_var(self, lo, hi)
     }
 
+    /// Writes the row as `target − slope·expr.terms (sense)
+    /// slope·expr.constant + intercept`, or a constant right side as the
+    /// bound it puts on `target`.
     fn add_row(&mut self, target: VarId, sense: Sense, slope: f64, intercept: f64, expr: &Expr) {
-        add_row(self, target, sense, slope, intercept, expr);
+        let constant = intercept + slope * expr.constant;
+        if is_bound::<Self>(slope, expr) {
+            let (lo, hi) = match sense {
+                Sense::Le => (f64::NEG_INFINITY, constant),
+                Sense::Ge => (constant, f64::INFINITY),
+                Sense::Eq => (constant, constant),
+            };
+            self.tighten_bounds(target, lo, hi);
+            return;
+        }
+        // `target` is always a variable created after every one `expr`
+        // uses, so it never cancels and the row's terms arrive sorted.
+        debug_assert!(
+            expr.terms.last().is_none_or(|&(v, _)| v < target),
+            "row target must be newer than every variable of its expression"
+        );
+        // `LinExpr` drops the coefficients that round to zero.
+        let lin: LinExpr = expr
+            .terms
+            .iter()
+            .map(|&(v, c)| (v, -(slope * c)))
+            .chain(iter::once((target, 1.0)))
+            .collect();
+        // Moving the constant across gives `−(0 − c)`: a zero constant
+        // keeps the `-0` right-hand side that the LP text prints.
+        self.add_constraint(lin, sense, -(0.0 - constant));
     }
+}
+
+/// Whether the row `target (sense) slope·expr + intercept` has a constant
+/// right side and so only bounds `target`. Both sinks ask this one
+/// question: the LP writes such a row into `target`'s bounds, and the row
+/// count skips it.
+fn is_bound<S: RowSink>(slope: f64, expr: &S::Expr) -> bool {
+    slope == 0.0 || S::is_constant(expr)
 }
 
 /// The rows and variables an encoding adds, counted without composing any
@@ -348,8 +364,10 @@ impl RowSink for RowCount {
         self.vars += 1;
     }
 
-    fn add_row(&mut self, (): (), _: Sense, _: f64, _: f64, _: &bool) {
-        self.rows += 1;
+    fn add_row(&mut self, (): (), _: Sense, slope: f64, _: f64, expr: &bool) {
+        if !is_bound::<Self>(slope, expr) {
+            self.rows += 1;
+        }
     }
 }
 
@@ -615,11 +633,7 @@ fn encode_pair<S: RowSink>(
                     let same_line =
                         r.lower_slope == r.upper_slope && r.lower_intercept == r.upper_intercept;
                     if same_line {
-                        if r.lower_slope != 0.0 || r.lower_intercept != 0.0 || !S::is_constant(dpre)
-                        {
-                            sink.add_row(dv, Sense::Eq, r.lower_slope, r.lower_intercept, dpre);
-                        }
-                        // Exact zero with constant input: bounds suffice.
+                        sink.add_row(dv, Sense::Eq, r.lower_slope, r.lower_intercept, dpre);
                     } else {
                         sink.add_row(dv, Sense::Ge, r.lower_slope, r.lower_intercept, dpre);
                         sink.add_row(dv, Sense::Le, r.upper_slope, r.upper_intercept, dpre);
@@ -649,6 +663,27 @@ fn encode_pair<S: RowSink>(
         hidden,
         outputs,
     }
+}
+
+/// The number of variables in each row of `lp`, read off its LP text.
+#[cfg(test)]
+pub(crate) fn row_widths(lp: &LpProblem) -> Vec<usize> {
+    let text = raven_lp::to_lp_format(lp);
+    let rows = text
+        .split("Subject To\n")
+        .nth(1)
+        .and_then(|t| t.split("Bounds\n").next())
+        .expect("LP text has a constraint section");
+    rows.lines()
+        .map(|row| {
+            row.split_whitespace()
+                .filter(|t| {
+                    t.strip_prefix('x')
+                        .is_some_and(|i| i.parse::<usize>().is_ok())
+                })
+                .count()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -738,21 +773,75 @@ mod tests {
         (problem, encoding, dps)
     }
 
-    /// `(rows, vars)` of the UAP encoding as [`encode`] builds it and as
-    /// [`RowCount`] counts it, on the same analyses.
+    /// The analyses of a monotonicity-style encoding: input variables `x`
+    /// over the ℓ∞ ball around `center` and a shift `t ∈ [0, tau]`, with
+    /// execution 0 at `x` and execution 1 at `x + t·e_0`, and DiffPoly on
+    /// the pair `(1, 0)`. Unlike a UAP pair, its input difference `t·e_0`
+    /// has a variable term.
+    #[allow(clippy::type_complexity)]
+    fn shift_analyses(
+        plan: &AnalysisPlan,
+        center: &[f64],
+        eps: f64,
+        tau: f64,
+    ) -> (
+        LpProblem,
+        Vec<Vec<Expr>>,
+        Vec<DeepPolyAnalysis>,
+        Vec<(usize, usize, DiffPolyAnalysis)>,
+    ) {
+        let mut problem = LpProblem::new();
+        let ball = linf_ball(center, eps, f64::NEG_INFINITY, f64::INFINITY);
+        let x: Vec<VarId> = ball
+            .iter()
+            .map(|iv| problem.add_var(iv.lo(), iv.hi()))
+            .collect();
+        let t = problem.add_var(0.0, tau);
+        let base: Vec<Expr> = x.iter().map(|&v| Expr::var(v)).collect();
+        let mut shifted = base.clone();
+        shifted[0] = Expr::var(x[0]).plus_var(1.0, t);
+        let mut shifted_box = ball.clone();
+        shifted_box[0] = Interval::new(ball[0].lo(), ball[0].hi() + tau);
+        let dps = vec![
+            DeepPolyAnalysis::run(plan, &ball),
+            DeepPolyAnalysis::run(plan, &shifted_box),
+        ];
+        let delta: Vec<Interval> = (0..center.len())
+            .map(|j| {
+                if j == 0 {
+                    Interval::new(0.0, tau)
+                } else {
+                    Interval::point(0.0)
+                }
+            })
+            .collect();
+        let diffs = vec![(1, 0, DiffPolyAnalysis::run(plan, &dps[1], &dps[0], &delta))];
+        (problem, vec![base, shifted], dps, diffs)
+    }
+
+    /// `(rows, vars)` of an encoding as [`encode`] builds it and as
+    /// [`RowCount`] counts it, on the same analyses; panics when a built
+    /// row has no variable besides its target.
+    #[allow(clippy::type_complexity)]
     fn built_and_counted(
         plan: &AnalysisPlan,
-        centers: &[Vec<f64>],
-        eps: f64,
-        pairs: &[(usize, usize)],
+        (mut problem, input_exprs, dps, diffs): (
+            LpProblem,
+            Vec<Vec<Expr>>,
+            Vec<DeepPolyAnalysis>,
+            Vec<(usize, usize, DiffPolyAnalysis)>,
+        ),
     ) -> ((usize, usize), (usize, usize)) {
-        let (mut problem, input_exprs, dps, diffs) = uap_analyses(plan, centers, eps, pairs);
         let dp_refs: Vec<&DeepPolyAnalysis> = dps.iter().collect();
         let pair_refs: Vec<(usize, usize, &DiffPolyAnalysis)> =
             diffs.iter().map(|(a, b, d)| (*a, *b, d)).collect();
         let mut count = RowCount::after(&problem);
         encode_into(&mut count, plan, &input_exprs, &dp_refs, &pair_refs);
         encode(&mut problem, plan, &input_exprs, &dp_refs, &pair_refs);
+        assert!(
+            row_widths(&problem).iter().all(|&w| w >= 2),
+            "a constant row was written as a row"
+        );
         (
             (problem.num_constraints(), problem.num_vars()),
             (count.rows, count.vars),
@@ -831,7 +920,8 @@ mod tests {
             let eps = [0.0, 1e-3, rng.in_range(0.0, 0.3), 0.8][case % 4];
             for strategy in strategies {
                 let pairs = strategy.pairs(k);
-                let (built, counted) = built_and_counted(&plan, &centers, eps, &pairs);
+                let analyses = uap_analyses(&plan, &centers, eps, &pairs);
+                let (built, counted) = built_and_counted(&plan, analyses);
                 assert_eq!(
                     counted,
                     built,
@@ -839,7 +929,51 @@ mod tests {
                     strategy.name()
                 );
             }
+            // A shifted pair, whose input difference is not a constant.
+            let tau = [0.0, 0.05, 0.3][case % 3];
+            let analyses = shift_analyses(&plan, &centers[0], eps, tau);
+            let (built, counted) = built_and_counted(&plan, analyses);
+            assert_eq!(
+                counted, built,
+                "case {case}: {kind}, eps={eps}, shift {tau}"
+            );
         }
+    }
+
+    #[test]
+    fn a_constant_row_an_ulp_outside_the_bounds_keeps_the_hull() {
+        // Bounds as DiffPoly would give them, and constant rows whose
+        // folded value rounding put an ulp outside: no row, no panic, and
+        // the variable keeps the hull of the two facing bounds.
+        let has_bounds = |lp: &LpProblem, name: &str, (lo, hi): (f64, f64)| {
+            raven_lp::to_lp_format(lp).contains(&format!(" {lo} <= {name} <= {hi}\n"))
+        };
+        let above = 1.0 + f64::EPSILON;
+        let below = -f64::from_bits(1);
+        for (sense, value, hull) in [
+            (Sense::Eq, above, (1.0, above)),
+            (Sense::Ge, above, (1.0, above)),
+            (Sense::Le, below, (below, 0.0)),
+            (Sense::Eq, below, (below, 0.0)),
+        ] {
+            let mut lp = LpProblem::new();
+            let v = lp.add_var(0.0, 1.0);
+            RowSink::add_row(&mut lp, v, sense, 1.0, 0.0, &Expr::constant(value));
+            assert_eq!(lp.num_constraints(), 0, "{sense:?} {value}");
+            assert!(has_bounds(&lp, "x0", hull), "{sense:?} {value}");
+            let mut count = RowCount::after(&LpProblem::new());
+            count.add_row((), sense, 1.0, 0.0, &false);
+            assert_eq!(count.rows, 0, "{sense:?} {value}");
+        }
+        // Inside the bounds, the fold is a plain intersection; a zero
+        // slope makes any expression constant.
+        let mut lp = LpProblem::new();
+        let v = lp.add_var(-1.0, 1.0);
+        let w = lp.add_var(-1.0, 1.0);
+        RowSink::add_row(&mut lp, w, Sense::Ge, 0.0, 0.25, &Expr::var(v));
+        RowSink::add_row(&mut lp, w, Sense::Le, 1.0, 0.0, &Expr::constant(0.5));
+        assert_eq!(lp.num_constraints(), 0);
+        assert!(has_bounds(&lp, "x1", (0.25, 0.5)));
     }
 
     #[test]

@@ -322,14 +322,20 @@ fn verify_monotonicity_lp(
     }
     lp.set_objective(Direction::Minimize, obj);
     let t0 = Instant::now();
-    let res = lp.solve_with_budget(&config.simplex, &hooks.lp_budget());
+    let budget = hooks.lp_budget();
+    let res = if cert.is_some() {
+        lp.solve_certified(&config.simplex, &budget)
+    } else {
+        lp.solve_with_budget(&config.simplex, &budget)
+            .map(|sol| (sol, None))
+    };
     let lp_millis = t0.elapsed().as_secs_f64() * 1e3;
     let dps = &relaxation.analyses;
     let fallback = || deeppoly_change_bound(problem, &dps[0], &dps[1]);
     Some(match res {
-        Ok(sol) if sol.status == SolveStatus::Optimal => {
+        Ok((sol, lp_cert)) if sol.status == SolveStatus::Optimal => {
             if let Some(sink) = cert {
-                sink.solve_lp(&lp, Tier::Lp, config, hooks);
+                sink.lp = lp_cert;
             }
             (sol.objective, Tier::Lp, false, lp_millis)
         }

@@ -14,6 +14,7 @@ use crate::hooks::{Phase, RunHooks};
 use crate::margin::{all_positive, analysis_margins, box_margins, margin_bounds, zonotope_margins};
 use crate::relational::{relax, PairDelta, Relaxation};
 use crate::tier::{Tier, TierMillis};
+use raven_check::LpCertificate;
 use raven_deeppoly::DeepPolyAnalysis;
 use raven_interval::Interval;
 use raven_lp::{
@@ -691,12 +692,13 @@ fn verify_uap_spec(
         &d_vars,
         &hooks.lp_budget(),
         &mut BasisCache::new(),
+        cert.is_some(),
     );
     if hooks.cancelled() {
         return None;
     }
     if let Some(sink) = cert {
-        sink.solve_lp(&lp, spec.tier, config, hooks);
+        sink.lp = spec.cert;
     }
     // Executions without indicators are proven individually robust, so the
     // adversary count can never exceed the union bound — this is also the
@@ -875,7 +877,7 @@ pub fn verify_targeted_uap_all(
 
 /// Solves the counting spec, returning `(bound, exact)`.
 fn solve_spec(lp: &LpProblem, config: &RavenConfig, cache: &mut BasisCache) -> (f64, bool) {
-    let spec = solve_spec_with_witness(lp, config, &[], &Budget::unlimited(), cache);
+    let spec = solve_spec_with_witness(lp, config, &[], &Budget::unlimited(), cache, false);
     (spec.bound, spec.exact)
 }
 
@@ -896,6 +898,9 @@ struct SpecSolve {
     lp_millis: f64,
     /// Wall-clock spent inside the MILP solve.
     milp_millis: f64,
+    /// The certificate of the solve that produced `bound`, when one was
+    /// asked for and the solve carries replayable evidence.
+    cert: Option<LpCertificate>,
 }
 
 /// Solves the counting spec down the degradation ladder, additionally
@@ -911,12 +916,17 @@ struct SpecSolve {
 /// bound warm-starts its root from it and deposits its own root basis
 /// back); pass a fresh [`BasisCache`] when there is no related prior
 /// solve.
+///
+/// With `certify`, each rung runs its certified variant — the same solve,
+/// recording its proof — and the result keeps the certificate of the rung
+/// that produced `bound`.
 fn solve_spec_with_witness(
     lp: &LpProblem,
     config: &RavenConfig,
     witness_vars: &[VarId],
     budget: &Budget<'_>,
     cache: &mut BasisCache,
+    certify: bool,
 ) -> SpecSolve {
     let extract = |sol: &raven_lp::Solution| {
         (!witness_vars.is_empty() && !sol.values.is_empty())
@@ -926,10 +936,15 @@ fn solve_spec_with_witness(
     let mut degraded = false;
     if config.spec_milp {
         let t0 = Instant::now();
-        let res = lp.solve_milp_cached(&config.milp, budget, cache);
+        let res = if certify {
+            lp.solve_milp_certified(&config.milp, budget, cache)
+        } else {
+            lp.solve_milp_cached(&config.milp, budget, cache)
+                .map(|sol| (sol, None))
+        };
         milp_millis = t0.elapsed().as_secs_f64() * 1e3;
         match res {
-            Ok(sol) if sol.status == SolveStatus::Optimal => {
+            Ok((sol, cert)) if sol.status == SolveStatus::Optimal => {
                 let witness = extract(&sol);
                 return SpecSolve {
                     bound: sol.objective,
@@ -939,9 +954,10 @@ fn solve_spec_with_witness(
                     degraded: false,
                     lp_millis: 0.0,
                     milp_millis,
+                    cert,
                 };
             }
-            Ok(sol) => {
+            Ok((sol, cert)) => {
                 if let SolveStatus::BudgetExceeded { best_bound } = sol.status {
                     degraded = true;
                     if best_bound.is_finite() {
@@ -957,6 +973,7 @@ fn solve_spec_with_witness(
                             degraded: true,
                             lp_millis: 0.0,
                             milp_millis,
+                            cert,
                         };
                     }
                 }
@@ -969,10 +986,15 @@ fn solve_spec_with_witness(
         }
     }
     let t0 = Instant::now();
-    let res = lp.solve_with_budget(&config.simplex, budget);
+    let res = if certify {
+        lp.solve_certified(&config.simplex, budget)
+    } else {
+        lp.solve_with_budget(&config.simplex, budget)
+            .map(|sol| (sol, None))
+    };
     let lp_millis = t0.elapsed().as_secs_f64() * 1e3;
     match res {
-        Ok(sol) if sol.status == SolveStatus::Optimal => {
+        Ok((sol, cert)) if sol.status == SolveStatus::Optimal => {
             let witness = extract(&sol);
             SpecSolve {
                 bound: sol.objective,
@@ -982,6 +1004,7 @@ fn solve_spec_with_witness(
                 degraded,
                 lp_millis,
                 milp_millis,
+                cert,
             }
         }
         // Budget died inside the relaxation too: the only rung left is the
@@ -994,6 +1017,7 @@ fn solve_spec_with_witness(
             degraded: true,
             lp_millis,
             milp_millis,
+            cert: None,
         },
         // Numerical failure or unexpected status: fall back to the trivial
         // sound answer "everything not individually verified may flip".
@@ -1005,6 +1029,7 @@ fn solve_spec_with_witness(
             degraded,
             lp_millis,
             milp_millis,
+            cert: None,
         },
     }
 }
@@ -1061,6 +1086,69 @@ mod tests {
             },
             net,
         )
+    }
+
+    #[test]
+    fn no_relaxation_row_has_a_constant_expression() {
+        // Every row of the relaxation has a variable besides its target:
+        // a constant row — such as every first-layer δ-row of a UAP pair,
+        // whose input difference is a constant — is a bound instead.
+        let mut rng = Rng::new(23);
+        let mut nets: Vec<(String, raven_nn::Network)> =
+            [ActKind::Relu, ActKind::Sigmoid, ActKind::LeakyRelu]
+                .into_iter()
+                .map(|kind| {
+                    let net = NetworkBuilder::new(4)
+                        .dense(6, rng.next_u64())
+                        .activation(kind)
+                        .dense(5, rng.next_u64())
+                        .activation(kind)
+                        .dense(3, rng.next_u64())
+                        .build();
+                    (kind.to_string(), net)
+                })
+                .collect();
+        let conv = NetworkBuilder::new(16)
+            .conv(1, 4, 4, 2, 3, 3, 1, 1, rng.next_u64())
+            .activation(ActKind::Relu)
+            .dense(3, rng.next_u64())
+            .build();
+        nets.push(("conv".to_string(), conv));
+        let hooks = RunHooks::default();
+        for (name, net) in &nets {
+            let dim = net.to_plan().input_dim();
+            let inputs: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..dim).map(|_| rng.in_range(0.0, 1.0)).collect())
+                .collect();
+            let problem = UapProblem {
+                plan: net.to_plan(),
+                labels: inputs.iter().map(|z| net.classify(z)).collect(),
+                inputs,
+                eps: 0.05,
+            };
+            for l1_budget in [None, Some(0.03)] {
+                let cap = l1_budget.map_or(problem.eps, |b| problem.eps.min(b));
+                let delta_box = vec![Interval::symmetric(cap); dim];
+                let analyses = individual_margins(&problem, &delta_box, Method::Raven, 1).1;
+                let (lp, _, _) = uap_relaxation(
+                    &problem,
+                    &delta_box,
+                    analyses,
+                    &PairStrategy::AllPairs.pairs(problem.k()),
+                    l1_budget,
+                    1,
+                    &hooks,
+                    std::convert::identity,
+                )
+                .expect("default hooks never cancel");
+                let widths = crate::encode::row_widths(&lp);
+                assert!(!widths.is_empty(), "{name}, l1 {l1_budget:?}");
+                assert!(
+                    widths.iter().all(|&w| w >= 2),
+                    "{name}, l1 {l1_budget:?}: row widths {widths:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! the exact checker can replay independently.
 //!
 //! Emission never affects solving. The certified entry points on
-//! [`LpProblem`](crate::LpProblem) run a dedicated solve with presolve
-//! disabled — presolve rewrites the row set, which would misalign the duals
-//! with the rows the certificate records — and collect per-leaf proofs as
-//! the tree is explored. A solve that cannot be certified (an unbounded
-//! relaxation, an infeasibility detected without usable multipliers) simply
-//! yields `None`; it never degrades the solution itself.
+//! [`LpProblem`](crate::LpProblem) run the same solve as their plain
+//! counterparts — the solver always works on the rows exactly as built, so
+//! the duals line up one to one with the rows the certificate records —
+//! and collect per-leaf proofs as the tree is explored. A solve that
+//! cannot be certified (an unbounded relaxation, an infeasibility detected
+//! without usable multipliers) simply yields `None`; it never degrades the
+//! solution itself.
 
 use crate::model::{Direction, LpProblem, Sense, Solution, SolveStatus};
 use raven_check::{
@@ -197,7 +198,8 @@ pub(crate) fn branch_certificate(
 #[cfg(test)]
 mod tests {
     use crate::{
-        Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SimplexOptions, SolveStatus,
+        BasisCache, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SimplexOptions,
+        SolveStatus,
     };
     use raven_check::{check_certificate, Certificate, LpCertificate};
 
@@ -295,7 +297,11 @@ mod tests {
     fn milp_branch_certificate_replays() {
         let p = knapsack();
         let (sol, cert) = p
-            .solve_milp_certified(&MilpOptions::default(), &Budget::unlimited())
+            .solve_milp_certified(
+                &MilpOptions::default(),
+                &Budget::unlimited(),
+                &mut BasisCache::new(),
+            )
             .unwrap();
         assert!(sol.is_optimal());
         let cert = cert.expect("complete B&B must certify");
@@ -312,7 +318,9 @@ mod tests {
             max_nodes: 3,
             ..MilpOptions::default()
         };
-        let (sol, cert) = p.solve_milp_certified(&opts, &Budget::unlimited()).unwrap();
+        let (sol, cert) = p
+            .solve_milp_certified(&opts, &Budget::unlimited(), &mut BasisCache::new())
+            .unwrap();
         let SolveStatus::BudgetExceeded { best_bound } = sol.status else {
             panic!("expected BudgetExceeded, got {:?}", sol.status);
         };
@@ -333,7 +341,11 @@ mod tests {
         p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Ge, 3.0);
         p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, x));
         let (sol, cert) = p
-            .solve_milp_certified(&MilpOptions::default(), &Budget::unlimited())
+            .solve_milp_certified(
+                &MilpOptions::default(),
+                &Budget::unlimited(),
+                &mut BasisCache::new(),
+            )
             .unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
         let cert = cert.expect("infeasible MILP must certify");
@@ -345,7 +357,11 @@ mod tests {
     fn tampered_branch_certificate_is_rejected() {
         let p = knapsack();
         let (_, cert) = p
-            .solve_milp_certified(&MilpOptions::default(), &Budget::unlimited())
+            .solve_milp_certified(
+                &MilpOptions::default(),
+                &Budget::unlimited(),
+                &mut BasisCache::new(),
+            )
             .unwrap();
         let mut cert = cert.unwrap();
         // Claiming a tighter bound than the tree proves must be rejected.

@@ -28,7 +28,6 @@ mod error;
 pub mod metrics;
 mod milp;
 mod model;
-mod presolve;
 mod simplex;
 mod write;
 
@@ -36,6 +35,5 @@ pub use budget::Budget;
 pub use error::LpError;
 pub use milp::MilpOptions;
 pub use model::{Direction, LinExpr, LpProblem, Sense, Solution, SolveStatus, VarId};
-pub use presolve::{presolve, DroppedSingleton, PresolveReport};
 pub use simplex::{BasisCache, SimplexOptions};
 pub use write::to_lp_format;

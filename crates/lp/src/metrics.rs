@@ -15,10 +15,6 @@ pub static LP_SOLVES: Counter = Counter::new();
 /// Wall-clock seconds per LP solve (only recorded while telemetry is
 /// enabled — the timer is clock-free otherwise).
 pub static LP_SOLVE_SECONDS: Histogram = Histogram::new();
-/// Rows dropped by presolve (singleton + redundant).
-pub static PRESOLVE_ROWS_REMOVED: Counter = Counter::new();
-/// Variable-bound tightenings applied by presolve.
-pub static PRESOLVE_BOUNDS_TIGHTENED: Counter = Counter::new();
 /// LP solves aborted by deadline/cancel (no sound partial bound).
 pub static LP_BUDGET_EXHAUSTED: Counter = Counter::new();
 /// LP solves that accepted a warm-start basis (dual- or primal-feasible
@@ -42,7 +38,7 @@ pub static MILP_INCUMBENT_UPDATES: Counter = Counter::new();
 pub static MILP_BUDGET_EXHAUSTED: Counter = Counter::new();
 
 /// Exposition table for this crate, in stable scrape order.
-pub static DESCS: [Desc; 13] = [
+pub static DESCS: [Desc; 11] = [
     Desc {
         name: "raven_lp_simplex_pivots_total",
         help: "Simplex pivot iterations across all LP solves.",
@@ -60,18 +56,6 @@ pub static DESCS: [Desc; 13] = [
         help: "Wall-clock seconds per LP solve (recorded while telemetry is enabled).",
         labels: "",
         metric: MetricRef::Histogram(&LP_SOLVE_SECONDS),
-    },
-    Desc {
-        name: "raven_lp_presolve_rows_removed_total",
-        help: "Constraint rows eliminated by presolve.",
-        labels: "",
-        metric: MetricRef::Counter(&PRESOLVE_ROWS_REMOVED),
-    },
-    Desc {
-        name: "raven_lp_presolve_bounds_tightened_total",
-        help: "Variable-bound tightenings applied by presolve.",
-        labels: "",
-        metric: MetricRef::Counter(&PRESOLVE_BOUNDS_TIGHTENED),
     },
     Desc {
         name: "raven_lp_budget_exhausted_total",

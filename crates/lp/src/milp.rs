@@ -5,6 +5,14 @@
 //! output bit for hamming distance), never on per-neuron variables. The
 //! search tree therefore stays tiny (≤ 2^k nodes), matching the paper's
 //! scalable MILP configuration.
+//!
+//! Every node solves the caller's rows exactly as built, under its
+//! branch's bound fixes, so all nodes share one row/variable layout: a
+//! child warm-starts from its parent's optimal basis, and a node's duals
+//! and Farkas rays index the caller's rows directly. Certified mode
+//! ([`LpProblem::solve_milp_certified`](crate::LpProblem::solve_milp_certified))
+//! therefore runs the very search a plain solve runs and only records
+//! each disposed node's proof on the way.
 
 use crate::certificate::BranchCollector;
 use crate::simplex::{Basis, BasisCache};
@@ -142,11 +150,11 @@ pub(crate) fn solve_with_cache(
 }
 
 /// [`solve_with_cache`] plus an optional certificate collector. A `Some`
-/// collector switches the run to *certified mode*: presolve is disabled
-/// everywhere (it rewrites the row set and would misalign duals with the
-/// rows the certificate records) and every disposed node contributes a leaf
-/// proof. Certified mode costs time, never correctness — the solution is
-/// computed the same way either side of the flag, modulo presolve.
+/// collector switches the run to *certified mode*: every disposed node
+/// contributes a leaf proof. The search itself is the same either side of
+/// the flag — same nodes, same pivots, same bound — since every node
+/// solves the rows exactly as the caller built them, so the proof's duals
+/// line up with the rows the certificate records.
 pub(crate) fn solve_collecting(
     problem: &LpProblem,
     opts: &MilpOptions,
@@ -154,14 +162,6 @@ pub(crate) fn solve_collecting(
     cache: &mut BasisCache,
     mut collector: Option<&mut BranchCollector>,
 ) -> Result<Solution, LpError> {
-    let mut certified_opts;
-    let opts = if collector.is_some() {
-        certified_opts = opts.clone();
-        certified_opts.simplex.presolve_rounds = 0;
-        &certified_opts
-    } else {
-        opts
-    };
     let int_vars: Vec<usize> = problem
         .integer
         .iter()
@@ -200,26 +200,6 @@ pub(crate) fn solve_collecting(
     // branch's bound fixes in, solves, and undoes them — replacing the
     // per-node full-problem clone the loop used to pay.
     let mut work = problem.clone();
-    if opts.warm_start && opts.simplex.presolve_rounds > 0 && !work.rows.is_empty() {
-        // Warm starts need every node to share one row/variable layout, so
-        // presolve once against the root bounds instead of per node inside
-        // `solve()`. Root reductions stay valid down the tree: branching
-        // only shrinks the feasible set, so implied rows stay implied and
-        // tightened bounds stay correct.
-        let report =
-            crate::presolve::presolve(&mut work, opts.simplex.presolve_rounds, opts.simplex.tol);
-        crate::metrics::PRESOLVE_ROWS_REMOVED.add(report.removed_rows as u64);
-        crate::metrics::PRESOLVE_BOUNDS_TIGHTENED.add(report.tightened_bounds as u64);
-        if report.infeasible {
-            return Ok(Solution {
-                status: SolveStatus::Infeasible,
-                objective: 0.0,
-                values: Vec::new(),
-                duals: Vec::new(),
-                farkas: Vec::new(),
-            });
-        }
-    }
     // Best-known integral solution.
     let mut incumbent: Option<Solution> = None;
     let mut stack = vec![Node {

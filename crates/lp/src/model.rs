@@ -164,18 +164,16 @@ pub struct Solution {
     /// optimal objective per unit increase of row `i`'s right-hand side, in
     /// the *user's* optimization orientation. Whenever the status is
     /// [`SolveStatus::Optimal`] this has exactly one entry per constraint
-    /// row, in the order the rows were added — rows dropped by presolve get
-    /// their duals mapped back (removed redundant rows are slack at the
-    /// optimum and report 0). Empty for MILP solves, where duals are not
-    /// well-defined across branching.
+    /// row, in the order the rows were added. Empty for MILP solves, where
+    /// duals are not well-defined across branching.
     pub duals: Vec<f64>,
     /// Farkas infeasibility multipliers: when `status` is
-    /// [`SolveStatus::Infeasible`] and the simplex (rather than presolve)
-    /// detected it, one entry per constraint row such that aggregating the
-    /// rows with these weights yields an inequality no point in the
-    /// variable box can satisfy (`≤` rows get non-positive weights, `≥`
-    /// rows non-negative, `=` rows are free). Empty when infeasibility was
-    /// detected structurally (presolve) or the status is not Infeasible.
+    /// [`SolveStatus::Infeasible`], one entry per constraint row such that
+    /// aggregating the rows with these weights yields an inequality no
+    /// point in the variable box can satisfy (`≤` rows get non-positive
+    /// weights, `≥` rows non-negative, `=` rows are free). Empty when the
+    /// phase-1 multipliers were not usable as a ray, or the status is not
+    /// Infeasible.
     pub farkas: Vec<f64>,
 }
 
@@ -272,20 +270,16 @@ impl LpProblem {
         self.rows.len()
     }
 
-    /// Tightens the bounds of an existing variable (intersection).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the resulting bounds are inverted beyond tolerance.
+    /// Tightens the bounds of an existing variable to their intersection
+    /// with `[lo, hi]`. When the two intervals are disjoint — as rounding
+    /// leaves two sound enclosures of one value that sit an ulp apart —
+    /// the variable keeps the hull of the two facing bounds, the gap
+    /// between the intervals, instead of an empty domain.
     pub fn tighten_bounds(&mut self, var: VarId, lo: f64, hi: f64) {
         let (cur_lo, cur_hi) = self.bounds[var.0];
         let new_lo = cur_lo.max(lo);
         let new_hi = cur_hi.min(hi);
-        assert!(
-            new_lo <= new_hi + 1e-9,
-            "tighten_bounds: empty domain [{new_lo}, {new_hi}]"
-        );
-        self.bounds[var.0] = (new_lo, new_hi.max(new_lo));
+        self.bounds[var.0] = (new_lo.min(new_hi), new_hi.max(new_lo));
     }
 
     /// Adds the constraint `expr (sense) rhs`.
@@ -408,12 +402,11 @@ impl LpProblem {
     }
 
     /// [`solve_with_budget`](LpProblem::solve_with_budget) plus a proof
-    /// certificate: the solve runs with presolve disabled (presolve rewrites
-    /// the row set and would misalign the certificate's duals with the
-    /// recorded rows) and packages the optimal duals — or Farkas
-    /// infeasibility multipliers — into a replayable
-    /// [`LpCertificate`](raven_check::LpCertificate). `None` when the
-    /// outcome carries no replayable evidence (e.g. an unbounded LP).
+    /// certificate: the same solve, with its optimal duals — or Farkas
+    /// infeasibility multipliers — packaged into a replayable
+    /// [`LpCertificate`](raven_check::LpCertificate) whose claimed bound is
+    /// the solution's own objective. `None` when the outcome carries no
+    /// replayable evidence (e.g. an unbounded LP).
     ///
     /// # Errors
     ///
@@ -423,22 +416,19 @@ impl LpProblem {
         options: &SimplexOptions,
         budget: &crate::Budget<'_>,
     ) -> Result<(Solution, Option<raven_check::LpCertificate>), LpError> {
-        let mut opts = options.clone();
-        opts.presolve_rounds = 0;
-        let sol = crate::simplex::solve(self, &opts, budget)?;
+        let sol = crate::simplex::solve(self, options, budget)?;
         let cert = crate::certificate::bound_certificate(self, &sol);
         Ok((sol, cert))
     }
 
-    /// [`solve_milp_with_budget`](LpProblem::solve_milp_with_budget) plus a
-    /// proof certificate: branch & bound runs in certified mode (presolve
-    /// off, per-leaf duals and Farkas rays collected) and packages the
-    /// whole tree into a replayable
-    /// [`LpCertificate`](raven_check::LpCertificate) whose claimed bound is
-    /// this solve's own objective/dual bound. `None` when some part of the
-    /// tree lacked evidence (an unbounded relaxation, an infeasibility
-    /// without usable multipliers, or a budget exit with the root still
-    /// open).
+    /// [`solve_milp_cached`](LpProblem::solve_milp_cached) plus a proof
+    /// certificate: branch & bound runs the same search in certified mode
+    /// (per-leaf duals and Farkas rays collected) and packages the whole
+    /// tree into a replayable [`LpCertificate`](raven_check::LpCertificate)
+    /// whose claimed bound is this solve's own objective/dual bound. `None`
+    /// when some part of the tree lacked evidence (an unbounded relaxation,
+    /// an infeasibility without usable multipliers, or a budget exit with
+    /// the root still open).
     ///
     /// # Errors
     ///
@@ -448,15 +438,11 @@ impl LpProblem {
         &self,
         options: &crate::MilpOptions,
         budget: &crate::Budget<'_>,
+        cache: &mut crate::BasisCache,
     ) -> Result<(Solution, Option<raven_check::LpCertificate>), LpError> {
         let mut collector = crate::certificate::BranchCollector::default();
-        let sol = crate::milp::solve_collecting(
-            self,
-            options,
-            budget,
-            &mut crate::BasisCache::new(),
-            Some(&mut collector),
-        )?;
+        let sol =
+            crate::milp::solve_collecting(self, options, budget, cache, Some(&mut collector))?;
         let cert = crate::certificate::branch_certificate(self, &sol, collector);
         Ok((sol, cert))
     }
@@ -546,6 +532,18 @@ mod tests {
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, 2.0);
         p.tighten_bounds(x, 0.5, 5.0);
-        assert_eq!(p.bounds[0], (0.5, 2.0));
+        assert_eq!(p.bounds[x.0], (0.5, 2.0));
+    }
+
+    #[test]
+    fn disjoint_tightening_keeps_the_hull_of_the_facing_bounds() {
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 1.0);
+        let above = 1.0 + f64::EPSILON;
+        p.tighten_bounds(x, above, above);
+        assert_eq!(p.bounds[x.0], (1.0, above));
+        let y = p.add_var(0.0, 1.0);
+        p.tighten_bounds(y, f64::NEG_INFINITY, -0.5);
+        assert_eq!(p.bounds[y.0], (-0.5, 0.0));
     }
 }

@@ -17,6 +17,13 @@
 //! guarantees a floating-point Gurobi run provides the original RaVeN
 //! implementation (see `DESIGN.md`).
 //!
+//! There is no presolve: the tableau holds the caller's rows exactly as
+//! built, so duals and Farkas multipliers index those rows one to one and
+//! every solve can be certified as it stands. (The relational encoder
+//! writes rows with a constant right side as variable bounds, which is
+//! where a presolve would have found its singleton rows.) A cold [`solve`]
+//! is [`solve_reuse`] without a warm basis.
+//!
 //! # Warm starts
 //!
 //! Branch & bound re-solves a near-identical LP at every node: only
@@ -47,8 +54,6 @@ pub struct SimplexOptions {
     pub refactor_every: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub stall_threshold: usize,
-    /// Presolve fixpoint rounds before the simplex (0 disables presolve).
-    pub presolve_rounds: usize,
 }
 
 impl Default for SimplexOptions {
@@ -58,7 +63,6 @@ impl Default for SimplexOptions {
             max_iters: 50_000,
             refactor_every: 300,
             stall_threshold: 60,
-            presolve_rounds: 3,
         }
     }
 }
@@ -1306,18 +1310,13 @@ fn empty_solution(status: SolveStatus) -> Solution {
     }
 }
 
-/// A finished solve plus the byproducts the callers of the internal entry
-/// points need: internal-orientation structural reduced costs (for dual
-/// postsolve) and the optimal basis (for warm starts).
-struct Solved {
-    sol: Solution,
-    reduced: Option<Vec<f64>>,
-    basis: Option<Basis>,
-}
-
-/// Extracts the solution, duals, reduced costs, and basis from a tableau
-/// whose run ended with `status`.
-fn finish_tableau(mut tableau: Tableau<'_>, problem: &LpProblem, status: SolveStatus) -> Solved {
+/// Extracts the solution, its duals and the optimal basis (for warm
+/// starting a related solve) from a tableau whose run ended with `status`.
+fn finish_tableau(
+    mut tableau: Tableau<'_>,
+    problem: &LpProblem,
+    status: SolveStatus,
+) -> (Solution, Option<Basis>) {
     match status {
         SolveStatus::Optimal => {
             tableau.drive_out_artificials();
@@ -1331,21 +1330,15 @@ fn finish_tableau(mut tableau: Tableau<'_>, problem: &LpProblem, status: SolveSt
             };
             let y = tableau.multipliers(Phase::Two);
             let duals = y.iter().map(|&v| sign * v).collect();
-            let reduced = (0..tableau.n_struct)
-                .map(|j| tableau.reduced_cost(j, &y, Phase::Two))
-                .collect();
             let basis = tableau.extract_basis();
-            Solved {
-                sol: Solution {
-                    status,
-                    objective: tableau.objective_value(problem),
-                    values: tableau.x[..tableau.n_struct].to_vec(),
-                    duals,
-                    farkas: Vec::new(),
-                },
-                reduced: Some(reduced),
-                basis,
-            }
+            let sol = Solution {
+                status,
+                objective: tableau.objective_value(problem),
+                values: tableau.x[..tableau.n_struct].to_vec(),
+                duals,
+                farkas: Vec::new(),
+            };
+            (sol, basis)
         }
         SolveStatus::Infeasible => {
             // The phase-1 multipliers are a Farkas certificate: with the
@@ -1379,117 +1372,14 @@ fn finish_tableau(mut tableau: Tableau<'_>, problem: &LpProblem, status: SolveSt
             if usable {
                 sol.farkas = farkas;
             }
-            Solved {
-                sol,
-                reduced: None,
-                basis: None,
-            }
+            (sol, None)
         }
-        _ => Solved {
-            sol: empty_solution(status),
-            reduced: None,
-            basis: None,
-        },
+        _ => (empty_solution(status), None),
     }
 }
 
-/// Internal reduced costs for a problem with no rows: with no constraints
-/// there are no multipliers, so the reduced cost is the (sign-adjusted)
-/// objective coefficient itself.
-fn box_reduced(problem: &LpProblem) -> Vec<f64> {
-    let sign = match problem.direction {
-        Direction::Minimize => 1.0,
-        Direction::Maximize => -1.0,
-    };
-    let mut d = vec![0.0; problem.num_vars()];
-    for &(v, c) in problem.objective.terms() {
-        d[v.0] += sign * c;
-    }
-    d
-}
-
-/// Maps the duals of a presolved problem back onto the original row set.
-///
-/// Kept rows copy their dual through `kept_rows`. A dropped *singleton* row
-/// became a variable bound; when that bound is active at the optimum, the
-/// row's shadow price is the variable's reduced cost rescaled by the row
-/// coefficient (`∂obj/∂rhs = d / c` via `x = rhs / c`). Redundant rows are
-/// slack at the optimum and correctly keep a zero dual. Each variable side
-/// attributes at most one row — further coincident rows are degenerate
-/// alternatives with dual zero.
-fn postsolve_duals(
-    original: &LpProblem,
-    report: &crate::presolve::PresolveReport,
-    sol: &Solution,
-    reduced: &[f64],
-    tol: f64,
-) -> Vec<f64> {
-    let sign = match original.direction {
-        Direction::Minimize => 1.0,
-        Direction::Maximize => -1.0,
-    };
-    let mut duals = vec![0.0; original.rows.len()];
-    for (i, &orig) in report.kept_rows.iter().enumerate() {
-        if let Some(&d) = sol.duals.get(i) {
-            duals[orig] = d;
-        }
-    }
-    let mut used_lo = vec![false; original.num_vars()];
-    let mut used_hi = vec![false; original.num_vars()];
-    for ds in &report.dropped_singletons {
-        let v = ds.var;
-        let d = reduced.get(v).copied().unwrap_or(0.0);
-        if d.abs() <= tol {
-            continue; // bound not binding the objective: dual 0
-        }
-        let target = ds.rhs / ds.coef;
-        let scale = 1.0_f64.max(target.abs());
-        if (sol.values[v] - target).abs() > tol * 16.0 * scale {
-            continue; // row not tight at the optimum: dual 0
-        }
-        // Which side of the variable's domain this row constrains.
-        let upper_side = matches!(
-            (ds.sense, ds.coef > 0.0),
-            (Sense::Le, true) | (Sense::Ge, false)
-        );
-        let claimed = match ds.sense {
-            Sense::Eq => {
-                if used_lo[v] || used_hi[v] {
-                    false
-                } else {
-                    used_lo[v] = true;
-                    used_hi[v] = true;
-                    true
-                }
-            }
-            // An active upper bound has d ≤ 0 at an internal minimum (and
-            // symmetrically for lower); a mismatched sign means the other
-            // side is the active one.
-            _ if upper_side => {
-                if d > 0.0 || used_hi[v] {
-                    false
-                } else {
-                    used_hi[v] = true;
-                    true
-                }
-            }
-            _ => {
-                if d < 0.0 || used_lo[v] {
-                    false
-                } else {
-                    used_lo[v] = true;
-                    true
-                }
-            }
-        };
-        if claimed {
-            duals[ds.row] = sign * d / ds.coef;
-        }
-    }
-    duals
-}
-
-/// Solves `problem` with the bounded-variable two-phase simplex.
+/// Solves `problem` with the bounded-variable two-phase simplex from a
+/// cold start: [`solve_reuse`] without a warm basis.
 ///
 /// # Errors
 ///
@@ -1501,67 +1391,25 @@ pub(crate) fn solve(
     opts: &SimplexOptions,
     budget: &Budget<'_>,
 ) -> Result<Solution, LpError> {
-    validate_bounds(problem)?;
-    crate::metrics::LP_SOLVES.inc();
-    let _solve_timer = raven_obs::Timer::start(&crate::metrics::LP_SOLVE_SECONDS);
-    if crate::chaos::take_forced_unbounded() {
-        return Ok(empty_solution(SolveStatus::Unbounded));
-    }
-    // Presolve on a private copy: row removal and bound tightening preserve
-    // the feasible set, so the optimum is unchanged while the tableau
-    // shrinks (often substantially inside branch & bound).
-    let presolved;
-    let mut report = None;
-    let reduced_problem = if opts.presolve_rounds > 0 && !problem.rows.is_empty() {
-        let mut copy = problem.clone();
-        let rep = crate::presolve::presolve(&mut copy, opts.presolve_rounds, opts.tol);
-        crate::metrics::PRESOLVE_ROWS_REMOVED.add(rep.removed_rows as u64);
-        crate::metrics::PRESOLVE_BOUNDS_TIGHTENED.add(rep.tightened_bounds as u64);
-        if rep.infeasible {
-            return Ok(empty_solution(SolveStatus::Infeasible));
-        }
-        presolved = copy;
-        report = Some(rep);
-        &presolved
-    } else {
-        problem
-    };
-    let (sol, reduced) = if reduced_problem.rows.is_empty() {
-        let sol = solve_box_only(reduced_problem);
-        let reduced = (sol.status == SolveStatus::Optimal).then(|| box_reduced(reduced_problem));
-        (sol, reduced)
-    } else {
-        let mut tableau = Tableau::new(reduced_problem, opts, budget);
-        let status = tableau.run()?;
-        let solved = finish_tableau(tableau, reduced_problem, status);
-        (solved.sol, solved.reduced)
-    };
-    // Postsolve: duals are reported against the *original* row set, so
-    // `duals.len() == rows.len()` whenever the status is Optimal.
-    let mut sol = sol;
-    if sol.status == SolveStatus::Optimal {
-        if let (Some(rep), Some(rc)) = (&report, &reduced) {
-            sol.duals = postsolve_duals(problem, rep, &sol, rc, opts.tol);
-        }
-    }
-    Ok(sol)
+    solve_reuse(problem, opts, budget, None).map(|(sol, _)| sol)
 }
 
 /// Solves `problem`, optionally seeding the simplex from `warm`, and
 /// returns the optimal basis for the caller to reuse on the next related
-/// solve. Never presolves: basis reuse needs the row/variable layout to
-/// stay exactly as the caller built it (branch & bound presolves once at
-/// the root instead — see `milp.rs`).
+/// solve. The row/variable layout is exactly the caller's, so duals and
+/// Farkas multipliers line up one to one with the rows it built.
 ///
 /// A warm basis is a pure accelerator: when it is dual- or primal-feasible
 /// the solve finishes in few pivots, and in every other case (stale,
 /// singular, stalled, dual-detected infeasibility) the function re-runs the
 /// ordinary cold start, so the result carries exactly the same certificate
-/// as [`solve`] with presolve disabled.
+/// as a cold [`solve`].
 ///
 /// # Errors
 ///
-/// Same contract as [`solve`].
+/// Returns an [`LpError`] on iteration limits or numerical breakdown;
+/// infeasible/unbounded problems are reported through [`Solution::status`],
+/// not as errors.
 pub(crate) fn solve_reuse(
     problem: &LpProblem,
     opts: &SimplexOptions,
@@ -1582,8 +1430,7 @@ pub(crate) fn solve_reuse(
             if let Some(mut tab) = Tableau::with_basis(problem, opts, budget, basis) {
                 match tab.warm_run() {
                     Ok(WarmOutcome::Solved(status)) => {
-                        let solved = finish_tableau(tab, problem, status);
-                        return Ok((solved.sol, solved.basis));
+                        return Ok(finish_tableau(tab, problem, status));
                     }
                     // Stale basis (including dual-detected infeasibility,
                     // which the cold phase-1 run below re-proves before it
@@ -1599,8 +1446,7 @@ pub(crate) fn solve_reuse(
     }
     let mut tableau = Tableau::new(problem, opts, budget);
     let status = tableau.run()?;
-    let solved = finish_tableau(tableau, problem, status);
-    Ok((solved.sol, solved.basis))
+    Ok(finish_tableau(tableau, problem, status))
 }
 
 /// Optimizes a problem with no constraints: each variable independently
@@ -1791,10 +1637,7 @@ mod tests {
         p.add_constraint(expr(&[(y, 2.0)]), Sense::Le, 12.0);
         p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let sol = p.solve_with(&opts).unwrap();
         assert_eq!(sol.duals.len(), 3);
         assert!(sol.duals[0].abs() < 1e-7, "{:?}", sol.duals);
@@ -1813,10 +1656,7 @@ mod tests {
         let x = p.add_var(0.0, f64::INFINITY);
         p.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 3.0);
         p.set_objective(Direction::Minimize, expr(&[(x, 2.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let sol = p.solve_with(&opts).unwrap();
         assert!((sol.objective - 6.0).abs() < 1e-7);
         assert_eq!(sol.duals.len(), 1);
@@ -1824,11 +1664,10 @@ mod tests {
     }
 
     #[test]
-    fn duals_survive_presolve_row_dropping() {
-        // Same Dantzig example, but with presolve ON: rows 1 and 2 are
-        // singletons presolve folds into bounds, so the solver used to
-        // return `duals: []`. The postsolve map must reconstruct all three
-        // shadow prices at their original indices.
+    fn singleton_rows_keep_their_duals_with_default_options() {
+        // Same Dantzig example through `solve()`: rows 1 and 2 are
+        // singletons, and all three shadow prices are reported at the
+        // rows' own indices.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, f64::INFINITY);
         let y = p.add_var(0.0, f64::INFINITY);
@@ -1847,10 +1686,9 @@ mod tests {
     }
 
     #[test]
-    fn duals_cover_fully_presolved_problems() {
-        // min 2x s.t. x ≥ 3: presolve turns the single row into a bound
-        // and the solve degenerates to the box-only path; the dual (+2)
-        // must still be reported against the original row.
+    fn one_row_problems_report_their_dual() {
+        // min 2x s.t. x ≥ 3: the only row is a singleton, and its dual
+        // (+2) is reported against it.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, f64::INFINITY);
         p.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 3.0);
@@ -1863,9 +1701,9 @@ mod tests {
     }
 
     #[test]
-    fn removed_redundant_rows_report_zero_duals() {
-        // x + y ≤ 50 is implied by the bounds: presolve drops it, and a
-        // slack row has shadow price 0 at its original index.
+    fn redundant_rows_report_zero_duals() {
+        // x + y ≤ 50 is implied by the bounds: a slack row has shadow
+        // price 0 at its own index.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, 1.0);
         let y = p.add_var(0.0, 1.0);
@@ -1880,11 +1718,10 @@ mod tests {
     }
 
     #[test]
-    fn presolve_tolerance_matches_simplex_tolerance() {
-        // The violation here (5e-8) sits between the old hard-coded
-        // presolve tolerance (1e-9) and the simplex feasibility tolerance
-        // (1e-7): presolve used to declare this infeasible even though the
-        // simplex would happily accept the point x = 1.
+    fn rows_violated_within_tolerance_stay_feasible() {
+        // The violation here (5e-8) sits inside the simplex feasibility
+        // tolerance (1e-7), so the point x = 1 is accepted rather than
+        // the LP declared infeasible.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, 1.0);
         p.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 1.0 + 5e-8);
@@ -1908,10 +1745,7 @@ mod tests {
         p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         p.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Sense::Le, 8.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
         let (first, basis) = solve_reuse(&p, &opts, &budget, None).unwrap();
         assert!(first.is_optimal());
@@ -1940,10 +1774,7 @@ mod tests {
         let y = p.add_var(0.0, 6.0);
         p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
         let (_, basis) = solve_reuse(&p, &opts, &budget, None).unwrap();
         let basis = basis.expect("basis");
@@ -1963,10 +1794,7 @@ mod tests {
         let a = small.add_var(0.0, 1.0);
         small.add_constraint(expr(&[(a, 1.0)]), Sense::Le, 0.5);
         small.set_objective(Direction::Maximize, expr(&[(a, 1.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
         let (_, basis) = solve_reuse(&small, &opts, &budget, None).unwrap();
         let basis = basis.expect("basis");
@@ -1991,10 +1819,7 @@ mod tests {
         let y = p.add_var(0.0, 6.0);
         p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let (first, basis) = solve_reuse(&p, &opts, &Budget::unlimited(), None).unwrap();
         assert!(first.is_optimal());
         let basis = basis.expect("basis");
@@ -2015,10 +1840,7 @@ mod tests {
         let y = p.add_var(0.0, 1.0);
         p.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Sense::Le, 1.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 1.0), (y, 1.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
         let (first, basis) = solve_reuse(&p, &opts, &budget, None).unwrap();
         assert!(first.is_optimal());
@@ -2134,10 +1956,7 @@ mod tests {
         p.add_constraint(expr(&[(x, 1.0), (y, 1.0), (z, 1.0)]), Sense::Le, 4.0);
         p.add_constraint(expr(&[(x, 2.0), (y, 2.0), (z, -1.0)]), Sense::Le, 3.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 2.0), (z, 1.0)]));
-        let opts = SimplexOptions {
-            presolve_rounds: 0,
-            ..SimplexOptions::default()
-        };
+        let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
         let mut tab = Tableau::new(&p, &opts, &budget);
         install_basis(&mut tab, vec![0, 1]);

@@ -132,28 +132,6 @@ fn minimize_is_negated_maximize() {
 }
 
 #[test]
-fn presolve_preserves_the_optimum() {
-    let mut rng = Rng::new(0x19_03);
-    for _ in 0..CASES {
-        let lp = random_lp(&mut rng);
-        let (p, _) = build(&lp);
-        let baseline = p.solve().expect("solves").objective;
-        let mut q = p.clone();
-        let report = raven_lp::presolve(&mut q, 4, 1e-7);
-        assert!(!report.infeasible, "feasible LP declared infeasible");
-        let presolved = q.solve().expect("solves");
-        assert_eq!(presolved.status, SolveStatus::Optimal);
-        assert!(
-            (presolved.objective - baseline).abs() < 1e-5,
-            "presolve changed optimum: {} vs {baseline}",
-            presolved.objective
-        );
-        // The presolved solution remains feasible for the original problem.
-        assert!(p.is_feasible(&presolved.values, 1e-5));
-    }
-}
-
-#[test]
 fn milp_bound_is_within_lp_relaxation() {
     // Knapsack-style: max Σ x_i st Σ c_i x_i ≤ cap, binaries.
     let mut rng = Rng::new(0x19_04);

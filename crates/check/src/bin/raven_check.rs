@@ -5,8 +5,9 @@
 //! envelope containing a `"certificate"` field (so a `/v1/verify/*` or
 //! `/v1/jobs/<id>` response can be piped straight in). Prints a one-line
 //! JSON report and exits 0 on accept, 1 on reject, 2 on malformed input.
-//! A usage error — a flag other than `-h`/`--help`, or a second file —
-//! prints `error: …` and the usage on stderr and exits 2.
+//! `-h`/`--help` prints the usage on stdout and exits 0. A usage error —
+//! a flag other than `-h`/`--help`, or a second file — prints `error: …`
+//! and the usage on stderr and exits 2.
 
 use raven_check::{check_certificate_json, CheckError};
 use raven_json::Json;
@@ -44,7 +45,7 @@ fn read_args(args: &[String]) -> Result<Option<&str>, String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}");
+        println!("{USAGE}");
         std::process::exit(0);
     }
     let path = read_args(&args).unwrap_or_else(|msg| {

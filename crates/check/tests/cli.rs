@@ -1,6 +1,7 @@
-//! The `raven_check` command line as a process sees it: help exits 0,
-//! usage errors exit 2 with `error: …` and the usage on stderr, and a
-//! single file argument is read as the certificate.
+//! The `raven_check` command line as a process sees it: help prints the
+//! usage on stdout and exits 0, usage errors exit 2 with `error: …` and
+//! the usage on stderr, and a single file argument is read as the
+//! certificate.
 
 use std::process::{Command, Output};
 
@@ -16,8 +17,9 @@ fn help_exits_zero_with_the_usage() {
     for help in ["--help", "-h"] {
         let out = raven_check(&[help]);
         assert_eq!(out.status.code(), Some(0), "{help}");
-        let text = String::from_utf8_lossy(&out.stderr);
+        let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.starts_with("usage: raven_check"), "{help}: {text}");
+        assert!(out.stderr.is_empty(), "{help} wrote to stderr");
     }
 }
 

@@ -44,10 +44,10 @@ use queue::{JobQueue, JobSlot, JobState, QueueHooks, Supervision};
 use raven_json::Json;
 use registry::ModelRegistry;
 use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tunables for one server instance.
@@ -166,6 +166,8 @@ pub struct ServerState {
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: TcpListener,
+    /// Where [`ShutdownHandle::shutdown`] connects to wake the accept.
+    wake: SocketAddr,
     state: Arc<ServerState>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -177,21 +179,83 @@ pub struct Server {
 #[derive(Clone)]
 pub struct ShutdownHandle {
     stop: Arc<AtomicBool>,
+    wake: SocketAddr,
     cancel_state: Arc<ServerState>,
 }
 
 impl ShutdownHandle {
     /// Requests a graceful shutdown: stop accepting, drain accepted jobs,
     /// then exit `run`.
+    ///
+    /// [`Server::run`] blocks in `accept`, so after setting the stop flag
+    /// this opens one loopback connection to the listener to wake it, and
+    /// ignores the outcome: a connect that lands makes `accept` return; a
+    /// full backlog means `accept` has connections to return anyway; a
+    /// refused connect means the listener is already gone. The connect
+    /// waits at most one second.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
 
     /// Escalates: additionally asks in-flight verifications to stop at
     /// their next phase boundary (their requests answer 500/cancelled).
     pub fn force_cancel(&self) {
         self.cancel_state.cancel.store(true, Ordering::SeqCst);
-        self.stop.store(true, Ordering::SeqCst);
+        self.shutdown();
+    }
+}
+
+/// The address a local client reaches `bound` at: an unspecified IP
+/// (`0.0.0.0` / `[::]`) becomes the loopback address of its family.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
+}
+
+/// Connection threads still running; the last one to finish wakes the
+/// drain in [`Server::run`].
+#[derive(Default)]
+struct Connections {
+    active: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl Connections {
+    fn count(&self) -> std::sync::MutexGuard<'_, usize> {
+        self.active.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one connection thread until the guard drops (a panicking
+    /// handler included).
+    fn enter(self: &Arc<Self>) -> ConnectionGuard {
+        *self.count() += 1;
+        ConnectionGuard(self.clone())
+    }
+
+    /// Waits until no connection thread is left, or `timeout` passes.
+    fn wait_idle(&self, timeout: Duration) {
+        let _idle = self
+            .idle
+            .wait_timeout_while(self.count(), timeout, |active| *active > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+struct ConnectionGuard(Arc<Connections>);
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        let mut active = self.0.count();
+        *active -= 1;
+        if *active == 0 {
+            self.0.idle.notify_all();
+        }
     }
 }
 
@@ -207,7 +271,7 @@ impl Server {
         // populated; telemetry is observe-only so verdicts are unaffected.
         raven_obs::set_enabled(true);
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let wake = wake_addr(listener.local_addr()?);
         // Replay the journal before anything else: recovery needs the
         // replayed state to seed job ids, and the hooks need the opened
         // journal. Opening starts a fresh segment, so replay sees only
@@ -300,6 +364,7 @@ impl Server {
         let worker_handles = queue.spawn_workers(config.workers);
         Ok(Server {
             listener,
+            wake,
             state,
             worker_handles,
             stop: Arc::new(AtomicBool::new(false)),
@@ -326,6 +391,7 @@ impl Server {
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
             stop: self.stop.clone(),
+            wake: self.wake,
             cancel_state: self.state.clone(),
         }
     }
@@ -333,44 +399,45 @@ impl Server {
     /// Accepts connections until shutdown, then drains: accepted jobs
     /// finish, their responses are written, workers exit, and `run`
     /// returns.
+    ///
+    /// The accept blocks; [`ShutdownHandle::shutdown`] wakes it with a
+    /// loopback connect. Every return from `accept` checks the stop flag
+    /// first, so the connection it returned once the flag is set (the
+    /// wake, or a late client) is dropped unanswered.
     pub fn run(self) {
-        let active = Arc::new(AtomicUsize::new(0));
+        let connections = Arc::new(Connections::default());
         while !self.stop.load(Ordering::SeqCst) {
-            match self.listener.accept() {
+            let accepted = self.listener.accept();
+            if self.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let state = self.state.clone();
-                    let conn_active = active.clone();
+                    let guard = connections.enter();
                     let max_body = self.max_body_bytes;
                     let client_timeout = self.client_timeout;
-                    active.fetch_add(1, Ordering::SeqCst);
                     // One thread per connection: connections are
                     // short-lived (Connection: close) and the expensive
                     // part is bounded by the worker pool, not by
-                    // connection count.
-                    let spawned = std::thread::Builder::new()
+                    // connection count. A failed spawn drops the closure
+                    // and with it the guard and the stream.
+                    let _ = std::thread::Builder::new()
                         .name("raven-serve-conn".to_string())
                         .spawn(move || {
+                            let _guard = guard;
                             handle_connection(&state, stream, max_body, client_timeout);
-                            conn_active.fetch_sub(1, Ordering::SeqCst);
                         });
-                    if spawned.is_err() {
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Poll the shutdown flag between accepts.
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                // Out of descriptors or a connection reset before it was
+                // accepted: back off briefly instead of spinning.
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
         // Graceful drain: stop admission, finish every accepted job, let
         // the waiting connections write their responses, join workers.
         self.state.queue.shutdown_and_drain();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        connections.wait_idle(Duration::from_secs(10));
         for handle in self.worker_handles {
             let _ = handle.join();
         }
@@ -487,6 +554,26 @@ fn handle_connection(
                 raven_json::Json::obj([("error", raven_json::Json::from(e.message.as_str()))])
                     .to_string();
             http::write_json_response(&mut stream, e.status, &body);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_addr;
+    use std::net::SocketAddr;
+
+    #[test]
+    fn wake_addr_replaces_only_an_unspecified_ip_with_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:8473", "127.0.0.1:8473"),
+            ("[::]:8473", "[::1]:8473"),
+            ("127.0.0.1:8473", "127.0.0.1:8473"),
+            ("10.1.2.3:8473", "10.1.2.3:8473"),
+            ("[fe80::1]:8473", "[fe80::1]:8473"),
+        ] {
+            let bound: SocketAddr = bound.parse().unwrap();
+            assert_eq!(wake_addr(bound), wake.parse().unwrap(), "{bound}");
         }
     }
 }

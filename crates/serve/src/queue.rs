@@ -455,10 +455,13 @@ impl JobQueue {
             crate::metrics::WAIT_SECONDS.observe(t.elapsed().as_secs_f64());
         }
         let service_timer = raven_obs::Timer::start(&crate::metrics::SERVICE_SECONDS);
-        slot.set(JobState::Running);
+        // The durable Started record comes first: a client that sees
+        // "running" and then kills the process must leave a crash
+        // signature behind.
         if let Some(hook) = &self.hooks.on_started {
             hook(id);
         }
+        slot.set(JobState::Running);
         // Job-start hygiene: a span leaked by a previous panicked job on
         // this (reused) thread must never parent this job's spans.
         raven_obs::reset_thread_spans();

@@ -6,7 +6,9 @@
 //! 2. load beyond the queue bound is rejected with 429;
 //! 3. the server's `result` object is byte-identical to `raven_cli
 //!    verify-uap --json` for the same query;
-//! 4. graceful shutdown drains in-flight jobs and still answers them.
+//! 4. graceful shutdown drains in-flight jobs and still answers them;
+//! 5. shutdown wakes the blocking accept loop whatever state it is in
+//!    (idle, not yet running, bound to `0.0.0.0`, force-cancelled).
 //!
 //! The `--client-timeout-ms` and `--strict-certificates` tests drive a
 //! spawned `raven_serve` process instead (`CARGO_BIN_EXE_raven_serve`,
@@ -19,6 +21,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -569,6 +572,82 @@ fn graceful_shutdown_drains_in_flight_requests() {
 
     // New connections are refused once the listener is gone.
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// Binds a server over `models/` without running it.
+fn bind_server(addr: &str) -> (Server, SocketAddr) {
+    let registry = ModelRegistry::load_dir(&repo_path("models")).expect("load models dir");
+    let config = ServerConfig {
+        addr: addr.to_string(),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind(&config, registry).expect("bind ephemeral port");
+    let addr = server.local_addr().expect("local addr");
+    (server, addr)
+}
+
+/// Runs the server on its own thread; the receiver fires once `run`
+/// returns, so a test can wait with a deadline instead of joining a
+/// thread that may never finish.
+fn run_detached(server: Server) -> mpsc::Receiver<()> {
+    let (done, finished) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.run();
+        let _ = done.send(());
+    });
+    finished
+}
+
+/// `run` returns within two seconds, after which `addr` refuses
+/// connections because the listener is gone.
+fn assert_stops(finished: &mpsc::Receiver<()>, addr: SocketAddr) {
+    finished
+        .recv_timeout(Duration::from_secs(2))
+        .expect("run() returns within 2 s of shutdown");
+    assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// A server that never saw a request is blocked in `accept`; shutdown
+/// has to wake it.
+#[test]
+fn idle_server_stops_promptly_on_shutdown() {
+    let (server, addr) = bind_server("127.0.0.1:0");
+    let shutdown = server.shutdown_handle();
+    let finished = run_detached(server);
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.shutdown();
+    assert_stops(&finished, addr);
+}
+
+#[test]
+fn shutdown_before_run_returns_at_once() {
+    let (server, addr) = bind_server("127.0.0.1:0");
+    server.shutdown_handle().shutdown();
+    let finished = run_detached(server);
+    assert_stops(&finished, addr);
+}
+
+/// The wake connect goes to loopback: connecting to `0.0.0.0` itself is
+/// not portable.
+#[test]
+fn server_on_unspecified_address_stops_on_shutdown() {
+    let (server, addr) = bind_server("0.0.0.0:0");
+    assert!(addr.ip().is_unspecified(), "{addr}");
+    let shutdown = server.shutdown_handle();
+    let finished = run_detached(server);
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.shutdown();
+    assert_stops(&finished, SocketAddr::from(([127, 0, 0, 1], addr.port())));
+}
+
+#[test]
+fn force_cancel_alone_stops_the_accept_loop() {
+    let (server, addr) = bind_server("127.0.0.1:0");
+    let shutdown = server.shutdown_handle();
+    let finished = run_detached(server);
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown.force_cancel();
+    assert_stops(&finished, addr);
 }
 
 /// `--client-timeout-ms` bounds how long a stalled client can pin a

@@ -23,8 +23,9 @@ pub static LP_WARM_STARTS: Counter = Counter::new();
 /// Dual-simplex pivot iterations (warm-started solves only; cold-start
 /// pivots are counted by `SIMPLEX_PIVOTS`).
 pub static LP_DUAL_PIVOTS: Counter = Counter::new();
-/// Basis inverses rebuilt from scratch (every warm-start seed plus the
-/// periodic refactorization of long solves).
+/// Basis factorizations rebuilt from scratch: every warm-start seed, the
+/// periodic refactorization of long solves, and the one that reads off an
+/// optimum after pivots.
 pub static LP_REFACTORIZATIONS: Counter = Counter::new();
 /// Branch-&-bound nodes whose relaxation was solved.
 pub static MILP_NODES: Counter = Counter::new();
@@ -77,7 +78,7 @@ pub static DESCS: [Desc; 11] = [
     },
     Desc {
         name: "raven_lp_refactorizations_total",
-        help: "Basis inverses rebuilt from scratch across all LP solves.",
+        help: "Basis factorizations rebuilt from scratch across all LP solves.",
         labels: "",
         metric: MetricRef::Counter(&LP_REFACTORIZATIONS),
     },

@@ -15,7 +15,7 @@
 //! each disposed node's proof on the way.
 
 use crate::certificate::BranchCollector;
-use crate::simplex::{Basis, BasisCache};
+use crate::simplex::{Basis, BasisCache, Matrix};
 use crate::{Budget, LpError, LpProblem, SimplexOptions, Solution, SolveStatus};
 use raven_check::LeafProof;
 use std::rc::Rc;
@@ -198,8 +198,10 @@ pub(crate) fn solve_collecting(
     };
     // One shared node state for the whole tree: each node intersects its
     // branch's bound fixes in, solves, and undoes them — replacing the
-    // per-node full-problem clone the loop used to pay.
+    // per-node full-problem clone the loop used to pay. Fixes touch bounds
+    // only, so every node's tableau reads one sparse copy of the rows.
     let mut work = problem.clone();
+    let matrix = Matrix::new(problem);
     // Best-known integral solution.
     let mut incumbent: Option<Solution> = None;
     let mut stack = vec![Node {
@@ -247,12 +249,9 @@ pub(crate) fn solve_collecting(
         // Propagate solver failures: silently pruning a node whose
         // relaxation did not solve would under-estimate a maximization
         // objective and make verification results unsound.
-        let solved = if opts.warm_start {
-            crate::simplex::solve_reuse(&work, &opts.simplex, budget, node.warm.as_deref())
-        } else {
-            work.solve_with_budget(&opts.simplex, budget)
-                .map(|s| (s, None))
-        };
+        let warm = node.warm.as_deref().filter(|_| opts.warm_start);
+        let solved = crate::simplex::solve_reuse(&work, &matrix, &opts.simplex, budget, warm)
+            .map(|(sol, basis)| (sol, basis.filter(|_| opts.warm_start)));
         for &(v, b) in undo.iter().rev() {
             work.bounds[v] = b;
         }

@@ -1,5 +1,5 @@
-//! Bounded-variable two-phase primal simplex with an explicit dense basis
-//! inverse.
+//! Bounded-variable two-phase primal simplex over a sparse LU basis
+//! factorization.
 //!
 //! The solver works on the computational form `A x + I s (+ Σ σ_i t_i) = b`
 //! with bounds `l ≤ (x, s) ≤ u`, `t ≥ 0`, where one slack `s_i` is added
@@ -11,9 +11,16 @@
 //! vectors, so Bland's anti-cycling rule applies verbatim when degeneracy
 //! stalls progress.
 //!
+//! The basis is never inverted. The block of basic structural columns on
+//! the rows no basic slack or artificial covers gets a sparse LU
+//! (Markowitz ordering, threshold partial pivoting); every pivot appends
+//! one product-form eta vector, and FTRAN/BTRAN solve through both (see
+//! [`lu`]). The factors are rebuilt on every warm start and every
+//! [`SimplexOptions::refactor_every`] pivots.
+//!
 //! Numerical model: plain `f64` with a feasibility/optimality tolerance of
 //! `1e-7`, a two-pass Harris-style ratio test that prefers large pivots,
-//! and periodic refactorization of the basis inverse. These are the same
+//! and periodic refactorization of the basis. These are the same
 //! guarantees a floating-point Gurobi run provides the original RaVeN
 //! implementation (see `DESIGN.md`).
 //!
@@ -37,11 +44,15 @@
 //! when it is primal-feasible, the common case when rows were *appended*),
 //! and falls back to a cold start whenever the basis is stale — so results
 //! are always certified by the same optimality test as a cold solve, and
-//! warm starting can never change a verdict. The pivot row needed by the
-//! dual ratio test is assembled from sparse row storage
-//! (`Tableau::rows_struct`) rather than by scanning dense columns.
+//! warm starting can never change a verdict. Every node reads the same
+//! [`Matrix`], built once per branch-and-bound run; the pivot row needed by
+//! the dual ratio test is assembled from its rows rather than by scanning
+//! columns.
+
+mod lu;
 
 use crate::{Budget, Direction, LpError, LpProblem, Sense, Solution, SolveStatus};
+use lu::{Column, Factor};
 
 /// Tunable parameters for the simplex solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +61,10 @@ pub struct SimplexOptions {
     pub tol: f64,
     /// Hard iteration limit (per phase).
     pub max_iters: usize,
-    /// Refactorize the basis inverse every this many pivots.
+    /// Refactorize the basis every this many pivots: the LU factors are
+    /// rebuilt and the eta file they carry since the last rebuild is
+    /// dropped. Every eta costs each later FTRAN and BTRAN a pass over an
+    /// entering column's image, so the file is kept short.
     pub refactor_every: usize,
     /// Consecutive degenerate pivots before switching to Bland's rule.
     pub stall_threshold: usize,
@@ -61,7 +75,7 @@ impl Default for SimplexOptions {
         Self {
             tol: 1e-7,
             max_iters: 50_000,
-            refactor_every: 300,
+            refactor_every: 16,
             stall_threshold: 60,
         }
     }
@@ -145,22 +159,74 @@ enum Phase {
     Two,
 }
 
+/// The structural part of the constraint matrix, stored by column and by
+/// row. Bounds are not part of it, so one copy serves every
+/// branch-and-bound node of a problem.
+#[derive(Debug)]
+pub(crate) struct Matrix {
+    /// Column `j` is `col_entries[col_start[j]..col_start[j + 1]]`, as
+    /// `(row, coef)` in row order.
+    col_start: Vec<usize>,
+    col_entries: Vec<(usize, f64)>,
+    /// Row `i` is `row_entries[row_start[i]..row_start[i + 1]]`, as
+    /// `(col, coef)`.
+    row_start: Vec<usize>,
+    row_entries: Vec<(usize, f64)>,
+}
+
+impl Matrix {
+    pub(crate) fn new(problem: &LpProblem) -> Self {
+        let mut row_start = Vec::with_capacity(problem.rows.len() + 1);
+        let mut row_entries = Vec::new();
+        let mut col_start = vec![0; problem.num_vars() + 1];
+        row_start.push(0);
+        for row in &problem.rows {
+            for &(v, c) in row.expr.terms() {
+                row_entries.push((v.0, c));
+                col_start[v.0 + 1] += 1;
+            }
+            row_start.push(row_entries.len());
+        }
+        for j in 0..problem.num_vars() {
+            col_start[j + 1] += col_start[j];
+        }
+        let mut fill = col_start.clone();
+        let mut col_entries = vec![(0, 0.0); row_entries.len()];
+        for i in 0..problem.rows.len() {
+            for &(j, c) in &row_entries[row_start[i]..row_start[i + 1]] {
+                col_entries[fill[j]] = (i, c);
+                fill[j] += 1;
+            }
+        }
+        Self {
+            col_start,
+            col_entries,
+            row_start,
+            row_entries,
+        }
+    }
+
+    fn col(&self, j: usize) -> &[(usize, f64)] {
+        &self.col_entries[self.col_start[j]..self.col_start[j + 1]]
+    }
+
+    fn row(&self, i: usize) -> &[(usize, f64)] {
+        &self.row_entries[self.row_start[i]..self.row_start[i + 1]]
+    }
+}
+
 struct Tableau<'a> {
     opts: &'a SimplexOptions,
     budget: &'a Budget<'a>,
+    a: &'a Matrix,
     m: usize,
     n_struct: usize,
     /// Structural + slack count (artificial indices start here).
     n_slack_end: usize,
     n_total: usize,
-    /// Sparse columns of the structural part of `A`.
-    cols: Vec<Vec<(usize, f64)>>,
-    /// Sparse rows of the structural part of `A` (`(col, coef)` per row):
-    /// the dual ratio test assembles its pivot row from these instead of
-    /// scanning every dense column.
-    rows_struct: Vec<Vec<(usize, f64)>>,
-    /// Artificial columns: `(row, sign)`.
-    art: Vec<(usize, f64)>,
+    /// Columns of the slacks, then of the artificials, as their one
+    /// nonzero `(row, sign)`.
+    units: Vec<(usize, f64)>,
     lower: Vec<f64>,
     upper: Vec<f64>,
     /// Phase-2 costs (0 for slacks and artificials).
@@ -169,92 +235,59 @@ struct Tableau<'a> {
     state: Vec<VarState>,
     basis: Vec<usize>,
     x: Vec<f64>,
-    /// Dense row-major `m x m` basis inverse.
-    binv: Vec<f64>,
+    factor: Factor,
     pivots_since_refactor: usize,
     stall_count: usize,
 }
 
-enum ColIter<'a> {
-    Struct(std::slice::Iter<'a, (usize, f64)>),
-    Single(Option<(usize, f64)>),
-}
-
-impl Iterator for ColIter<'_> {
-    type Item = (usize, f64);
-
-    fn next(&mut self) -> Option<(usize, f64)> {
-        match self {
-            ColIter::Struct(it) => it.next().copied(),
-            ColIter::Single(s) => s.take(),
-        }
+/// Bounds of the structurals then the row slacks, phase-2 costs
+/// (sign-flipped for maximization; 0 for slacks) and right-hand sides.
+fn bounds_and_costs(problem: &LpProblem) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
+    let n_slack_end = problem.num_vars() + problem.rows.len();
+    let mut lower = Vec::with_capacity(n_slack_end);
+    let mut upper = Vec::with_capacity(n_slack_end);
+    for &(lo, hi) in &problem.bounds {
+        lower.push(lo);
+        upper.push(hi);
     }
+    for row in &problem.rows {
+        let (lo, hi) = match row.sense {
+            Sense::Le => (0.0, f64::INFINITY),
+            Sense::Ge => (f64::NEG_INFINITY, 0.0),
+            Sense::Eq => (0.0, 0.0),
+        };
+        lower.push(lo);
+        upper.push(hi);
+    }
+    let sign = match problem.direction {
+        Direction::Minimize => 1.0,
+        Direction::Maximize => -1.0,
+    };
+    let mut cost = vec![0.0; n_slack_end];
+    for &(v, c) in problem.objective.terms() {
+        cost[v.0] += sign * c;
+    }
+    let rhs = problem.rows.iter().map(|r| r.rhs).collect();
+    (lower, upper, cost, rhs)
 }
 
 impl<'a> Tableau<'a> {
-    fn new(problem: &LpProblem, opts: &'a SimplexOptions, budget: &'a Budget<'a>) -> Self {
+    fn new(
+        problem: &LpProblem,
+        a: &'a Matrix,
+        opts: &'a SimplexOptions,
+        budget: &'a Budget<'a>,
+    ) -> Self {
         let m = problem.rows.len();
         let n_struct = problem.num_vars();
         let n_slack_end = n_struct + m;
-        let mut cols = vec![Vec::new(); n_struct];
-        let mut rows_struct = vec![Vec::new(); m];
-        for (i, row) in problem.rows.iter().enumerate() {
-            for &(v, c) in row.expr.terms() {
-                cols[v.0].push((i, c));
-                rows_struct[i].push((v.0, c));
-            }
-        }
-        let mut lower = Vec::with_capacity(n_slack_end);
-        let mut upper = Vec::with_capacity(n_slack_end);
-        for &(lo, hi) in &problem.bounds {
-            lower.push(lo);
-            upper.push(hi);
-        }
-        for row in &problem.rows {
-            match row.sense {
-                Sense::Le => {
-                    lower.push(0.0);
-                    upper.push(f64::INFINITY);
-                }
-                Sense::Ge => {
-                    lower.push(f64::NEG_INFINITY);
-                    upper.push(0.0);
-                }
-                Sense::Eq => {
-                    lower.push(0.0);
-                    upper.push(0.0);
-                }
-            }
-        }
-        // Phase-2 costs (sign-flipped for maximization).
-        let sign = match problem.direction {
-            Direction::Minimize => 1.0,
-            Direction::Maximize => -1.0,
-        };
-        let mut cost = vec![0.0; n_slack_end];
-        for &(v, c) in problem.objective.terms() {
-            cost[v.0] += sign * c;
-        }
-        let rhs: Vec<f64> = problem.rows.iter().map(|r| r.rhs).collect();
+        let (mut lower, mut upper, mut cost, rhs) = bounds_and_costs(problem);
         // Nonbasic structurals at their finite bound closest to zero (or 0
         // when free).
         let mut state = Vec::with_capacity(n_slack_end);
         let mut x = vec![0.0; n_slack_end];
         for j in 0..n_struct {
-            let (lo, hi) = (lower[j], upper[j]);
-            let (s, v) = if lo.is_finite() && hi.is_finite() {
-                if lo.abs() <= hi.abs() {
-                    (VarState::NbLower, lo)
-                } else {
-                    (VarState::NbUpper, hi)
-                }
-            } else if lo.is_finite() {
-                (VarState::NbLower, lo)
-            } else if hi.is_finite() {
-                (VarState::NbUpper, hi)
-            } else {
-                (VarState::NbFree, 0.0)
-            };
+            let (s, v) = park(None, lower[j], upper[j]);
             state.push(s);
             x[j] = v;
         }
@@ -262,8 +295,8 @@ impl<'a> Tableau<'a> {
         let mut resid = rhs.clone();
         for (j, xj) in x.iter().enumerate().take(n_struct) {
             if *xj != 0.0 {
-                for &(i, a) in &cols[j] {
-                    resid[i] -= a * xj;
+                for &(i, aij) in a.col(j) {
+                    resid[i] -= aij * xj;
                 }
             }
         }
@@ -298,6 +331,10 @@ impl<'a> Tableau<'a> {
             }
         }
         let n_total = n_slack_end + art.len();
+        let units = (0..m)
+            .map(|i| (i, 1.0))
+            .chain(art.iter().copied())
+            .collect();
         for _ in 0..art.len() {
             lower.push(0.0);
             upper.push(f64::INFINITY);
@@ -312,25 +349,15 @@ impl<'a> Tableau<'a> {
             let s_val = x[n_struct + row];
             x[var] = (r - s_val) * sigma; // = |gap| ≥ 0
         }
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            binv[i * m + i] = 1.0;
-        }
-        // Rows owned by artificials have column σ·e_row; the inverse of the
-        // initial basis is diagonal with 1/σ entries.
-        for &(row, sigma) in &art {
-            binv[row * m + row] = 1.0 / sigma;
-        }
-        Self {
+        let mut tab = Self {
             opts,
             budget,
+            a,
             m,
             n_struct,
             n_slack_end,
             n_total,
-            cols,
-            rows_struct,
-            art,
+            units,
             lower,
             upper,
             cost,
@@ -338,20 +365,34 @@ impl<'a> Tableau<'a> {
             state,
             basis,
             x,
-            binv,
+            factor: Factor::default(),
             pivots_since_refactor: 0,
             stall_count: 0,
+        };
+        // Every row is covered by its own slack or artificial: the block
+        // of structurals is empty.
+        tab.factor = tab
+            .factorize()
+            .expect("a basis of one unit column per row is nonsingular");
+        tab
+    }
+
+    /// How basis factorization sees variable `j`'s column.
+    fn kind(&self, j: usize) -> Column {
+        if j < self.n_struct {
+            Column::Struct(j)
+        } else {
+            let (row, sigma) = self.units[j - self.n_struct];
+            Column::Unit { row, sigma }
         }
     }
 
-    fn col(&self, j: usize) -> ColIter<'_> {
+    /// Column `j` of `[A I σ]` as `(row, coef)`.
+    fn col(&self, j: usize) -> &[(usize, f64)] {
         if j < self.n_struct {
-            ColIter::Struct(self.cols[j].iter())
-        } else if j < self.n_slack_end {
-            ColIter::Single(Some((j - self.n_struct, 1.0)))
+            self.a.col(j)
         } else {
-            let (row, sigma) = self.art[j - self.n_slack_end];
-            ColIter::Single(Some((row, sigma)))
+            std::slice::from_ref(&self.units[j - self.n_struct])
         }
     }
 
@@ -379,174 +420,59 @@ impl<'a> Tableau<'a> {
             if xj == 0.0 {
                 continue;
             }
-            for (i, a) in self.col(j) {
+            for &(i, a) in self.col(j) {
                 resid[i] -= a * xj;
             }
         }
-        // (clippy: the index here addresses a different vector than the
-        // iteration target, so zip-style rewriting does not apply.)
-        for i in 0..self.m {
-            let row = &self.binv[i * self.m..(i + 1) * self.m];
-            let v: f64 = row.iter().zip(&resid).map(|(b, r)| b * r).sum();
-            self.x[self.basis[i]] = v;
+        let xb = self.factor.ftran(&mut resid);
+        for (&var, v) in self.basis.iter().zip(xb) {
+            self.x[var] = v;
         }
     }
 
-    /// Rebuilds the basis inverse from scratch by a block factorization
-    /// over the structural columns.
-    ///
-    /// Every basic slack (`e_i`) or artificial (`σ e_row`) covers one row.
-    /// With rows and columns permuted the basis is `[[A11, 0], [A21, σI]]`,
-    /// where `A11` holds the basic structural columns on the rows no unit
-    /// column covers, so only that k×k block is inverted (Gauss–Jordan with
-    /// partial pivoting). The inverse then follows in blocks: structural
-    /// positions get `A11⁻¹` on the free rows; the unit position on row ρ
-    /// gets `1/σ` at ρ and `−(1/σ)·(a_ρ · A11⁻¹)` on the free rows, with
-    /// `a_ρ` read from ρ's sparse row. O(k³ + nnz·k) instead of O(m³).
+    /// Factors the current basis from scratch (see [`lu`]).
+    fn factorize(&self) -> Result<Factor, LpError> {
+        Factor::new(self.a, &self.basis, |j| self.kind(j))
+    }
+
+    /// Rebuilds the factorization, dropping the eta file, and recomputes
+    /// the basic values from it.
     fn refactorize(&mut self) -> Result<(), LpError> {
-        let m = self.m;
-        // Basis positions of the structural columns, the unit column (if
-        // any) covering each row, and each basis position's index in A11.
-        let mut structs: Vec<usize> = Vec::new();
-        let mut unit_of_row: Vec<Option<(usize, f64)>> = vec![None; m];
-        let mut local = vec![usize::MAX; m];
-        for (bi, &var) in self.basis.iter().enumerate() {
-            if var < self.n_struct {
-                local[bi] = structs.len();
-                structs.push(bi);
-                continue;
-            }
-            let (row, sigma) = if var < self.n_slack_end {
-                (var - self.n_struct, 1.0)
-            } else {
-                self.art[var - self.n_slack_end]
-            };
-            if unit_of_row[row].is_some() {
-                return Err(LpError::SingularBasis);
-            }
-            unit_of_row[row] = Some((bi, sigma));
-        }
-        let free: Vec<usize> = (0..m).filter(|&i| unit_of_row[i].is_none()).collect();
-        let k = structs.len();
-        debug_assert_eq!(free.len(), k, "a full basis leaves k free rows");
-        let mut free_local = vec![usize::MAX; m];
-        for (f, &row) in free.iter().enumerate() {
-            free_local[row] = f;
-        }
-        // A11: rows = free rows, columns = basic structurals.
-        let mut mat = vec![0.0; k * k];
-        for (s, &bi) in structs.iter().enumerate() {
-            for &(i, a) in &self.cols[self.basis[bi]] {
-                if free_local[i] != usize::MAX {
-                    mat[free_local[i] * k + s] = a;
-                }
-            }
-        }
-        let mut inv = vec![0.0; k * k];
-        for i in 0..k {
-            inv[i * k + i] = 1.0;
-        }
-        for col in 0..k {
-            let mut piv_row = col;
-            let mut piv_val = mat[col * k + col].abs();
-            for r in col + 1..k {
-                let v = mat[r * k + col].abs();
-                if v > piv_val {
-                    piv_val = v;
-                    piv_row = r;
-                }
-            }
-            if piv_val < 1e-11 {
-                return Err(LpError::SingularBasis);
-            }
-            if piv_row != col {
-                for c in 0..k {
-                    mat.swap(piv_row * k + c, col * k + c);
-                    inv.swap(piv_row * k + c, col * k + c);
-                }
-            }
-            // Columns left of `col` are already eliminated (zero in this
-            // row), so only the trailing part of `mat` needs updating.
-            let p = mat[col * k + col];
-            for c in col..k {
-                mat[col * k + c] /= p;
-            }
-            for v in &mut inv[col * k..(col + 1) * k] {
-                *v /= p;
-            }
-            for r in 0..k {
-                if r == col {
-                    continue;
-                }
-                let f = mat[r * k + col];
-                if f == 0.0 {
-                    continue;
-                }
-                for c in col..k {
-                    mat[r * k + c] -= f * mat[col * k + c];
-                }
-                for c in 0..k {
-                    inv[r * k + c] -= f * inv[col * k + c];
-                }
-            }
-        }
-        // `inv` is A11⁻¹: row s is structural `structs[s]`, column f is
-        // free row `free[f]`.
-        let mut binv = vec![0.0; m * m];
-        for (s, &bi) in structs.iter().enumerate() {
-            let dst = &mut binv[bi * m..(bi + 1) * m];
-            for (f, &row) in free.iter().enumerate() {
-                dst[row] = inv[s * k + f];
-            }
-        }
-        let mut acc = vec![0.0; k];
-        for (rho, unit) in unit_of_row.iter().enumerate() {
-            let Some((bi, sigma)) = *unit else { continue };
-            acc.fill(0.0);
-            for &(var, a) in &self.rows_struct[rho] {
-                let VarState::Basic(pos) = self.state[var] else {
-                    continue;
-                };
-                let s = local[pos];
-                if s == usize::MAX || a == 0.0 {
-                    continue;
-                }
-                for (t, v) in acc.iter_mut().zip(&inv[s * k..(s + 1) * k]) {
-                    *t += a * v;
-                }
-            }
-            let dst = &mut binv[bi * m..(bi + 1) * m];
-            dst[rho] = 1.0 / sigma;
-            for (&row, &t) in free.iter().zip(&acc) {
-                dst[row] = -t / sigma;
-            }
-        }
-        self.binv = binv;
+        self.factor = self.factorize()?;
         self.pivots_since_refactor = 0;
         crate::metrics::LP_REFACTORIZATIONS.inc();
         self.recompute_basics();
         Ok(())
     }
 
+    /// Row `r` of the basis inverse, `e_rᵀ B⁻¹`, indexed by constraint row.
+    fn inverse_row(&self, r: usize) -> Vec<f64> {
+        let mut e = vec![0.0; self.m];
+        e[r] = 1.0;
+        self.factor.btran(&mut e)
+    }
+
     /// Simplex multipliers `y = B^{-T} c_B` for the given phase.
     fn multipliers(&self, phase: Phase) -> Vec<f64> {
-        let mut y = vec![0.0; self.m];
-        for (i, &var) in self.basis.iter().enumerate() {
-            let c = self.phase_cost(var, phase);
-            if c != 0.0 {
-                let row = &self.binv[i * self.m..(i + 1) * self.m];
-                for (yk, b) in y.iter_mut().zip(row) {
-                    *yk += c * b;
-                }
-            }
-        }
-        y
+        let mut c: Vec<f64> = self
+            .basis
+            .iter()
+            .map(|&var| self.phase_cost(var, phase))
+            .collect();
+        self.factor.btran(&mut c)
     }
 
     fn reduced_cost(&self, j: usize, y: &[f64], phase: Phase) -> f64 {
+        // Branching here rather than looping over `col(j)` keeps pricing,
+        // which runs this for every nonbasic column, about twice as fast.
         let mut d = self.phase_cost(j, phase);
-        for (i, a) in self.col(j) {
-            d -= y[i] * a;
+        if j < self.n_struct {
+            for &(i, a) in self.a.col(j) {
+                d -= y[i] * a;
+            }
+        } else {
+            let (row, sigma) = self.units[j - self.n_struct];
+            d -= y[row] * sigma;
         }
         d
     }
@@ -601,18 +527,13 @@ impl<'a> Tableau<'a> {
         best.map(|(j, d, _)| (j, d))
     }
 
-    /// `w = B^{-1} a_j`.
+    /// `w = B^{-1} a_j`, indexed by basis position.
     fn ftran(&self, j: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.m];
-        for (r, a) in self.col(j) {
-            if a == 0.0 {
-                continue;
-            }
-            for (i, wi) in w.iter_mut().enumerate() {
-                *wi += self.binv[i * self.m + r] * a;
-            }
+        let mut v = vec![0.0; self.m];
+        for &(r, a) in self.col(j) {
+            v[r] += a;
         }
-        w
+        self.factor.ftran(&mut v)
     }
 
     /// Two-pass (Harris) ratio test; under Bland's rule a strict test with
@@ -709,35 +630,13 @@ impl<'a> Tableau<'a> {
         }
     }
 
-    /// Replaces basic row `r` with entering variable `j`, updating the
-    /// explicit inverse.
+    /// Replaces basic row `r` with entering variable `j`, whose FTRAN image
+    /// `w` becomes the next eta vector.
     fn pivot(&mut self, r: usize, j: usize, w: &[f64]) -> Result<(), LpError> {
-        let alpha = w[r];
-        if alpha.abs() < 1e-10 {
+        if w[r].abs() < 1e-10 {
             return Err(LpError::SingularBasis);
         }
-        let m = self.m;
-        let (before, rest) = self.binv.split_at_mut(r * m);
-        let (row_r, after) = rest.split_at_mut(m);
-        for v in row_r.iter_mut() {
-            *v /= alpha;
-        }
-        for (i, chunk) in before.chunks_mut(m).enumerate() {
-            let f = w[i];
-            if f != 0.0 {
-                for (c, rr) in chunk.iter_mut().zip(row_r.iter()) {
-                    *c -= f * rr;
-                }
-            }
-        }
-        for (off, chunk) in after.chunks_mut(m).enumerate() {
-            let f = w[r + 1 + off];
-            if f != 0.0 {
-                for (c, rr) in chunk.iter_mut().zip(row_r.iter()) {
-                    *c -= f * rr;
-                }
-            }
-        }
+        self.factor.push_eta(r, w);
         self.basis[r] = j;
         self.state[j] = VarState::Basic(r);
         self.pivots_since_refactor += 1;
@@ -828,7 +727,7 @@ impl<'a> Tableau<'a> {
     }
 
     fn run(&mut self) -> Result<SolveStatus, LpError> {
-        if !self.art.is_empty() {
+        if self.n_total > self.n_slack_end {
             match self.run_phase(Phase::One)? {
                 SolveStatus::Optimal => {}
                 // Phase 1 is bounded below by 0, so an "unbounded" outcome
@@ -840,8 +739,7 @@ impl<'a> Tableau<'a> {
                 return Ok(SolveStatus::Infeasible);
             }
             // Pin the artificials to zero for phase 2.
-            for ai in 0..self.art.len() {
-                let var = self.n_slack_end + ai;
+            for var in self.n_slack_end..self.n_total {
                 self.upper[var] = 0.0;
                 if !matches!(self.state[var], VarState::Basic(_)) {
                     self.state[var] = VarState::NbLower;
@@ -863,6 +761,7 @@ impl<'a> Tableau<'a> {
     /// for this problem — the caller falls back to a cold start.
     fn with_basis(
         problem: &LpProblem,
+        a: &'a Matrix,
         opts: &'a SimplexOptions,
         budget: &'a Budget<'a>,
         warm: &Basis,
@@ -873,45 +772,7 @@ impl<'a> Tableau<'a> {
             return None;
         }
         let n_slack_end = n_struct + m;
-        let mut cols = vec![Vec::new(); n_struct];
-        let mut rows_struct = vec![Vec::new(); m];
-        for (i, row) in problem.rows.iter().enumerate() {
-            for &(v, c) in row.expr.terms() {
-                cols[v.0].push((i, c));
-                rows_struct[i].push((v.0, c));
-            }
-        }
-        let mut lower = Vec::with_capacity(n_slack_end);
-        let mut upper = Vec::with_capacity(n_slack_end);
-        for &(lo, hi) in &problem.bounds {
-            lower.push(lo);
-            upper.push(hi);
-        }
-        for row in &problem.rows {
-            match row.sense {
-                Sense::Le => {
-                    lower.push(0.0);
-                    upper.push(f64::INFINITY);
-                }
-                Sense::Ge => {
-                    lower.push(f64::NEG_INFINITY);
-                    upper.push(0.0);
-                }
-                Sense::Eq => {
-                    lower.push(0.0);
-                    upper.push(0.0);
-                }
-            }
-        }
-        let sign = match problem.direction {
-            Direction::Minimize => 1.0,
-            Direction::Maximize => -1.0,
-        };
-        let mut cost = vec![0.0; n_slack_end];
-        for &(v, c) in problem.objective.terms() {
-            cost[v.0] += sign * c;
-        }
-        let rhs: Vec<f64> = problem.rows.iter().map(|r| r.rhs).collect();
+        let (lower, upper, cost, rhs) = bounds_and_costs(problem);
         let mut state = vec![VarState::NbFree; n_slack_end];
         let mut x = vec![0.0; n_slack_end];
         let mut basis: Vec<usize> = Vec::with_capacity(m);
@@ -944,20 +805,15 @@ impl<'a> Tableau<'a> {
         for (i, &var) in basis.iter().enumerate() {
             state[var] = VarState::Basic(i);
         }
-        let mut binv = vec![0.0; m * m];
-        for i in 0..m {
-            binv[i * m + i] = 1.0;
-        }
         let mut tab = Self {
             opts,
             budget,
+            a,
             m,
             n_struct,
             n_slack_end,
             n_total: n_slack_end,
-            cols,
-            rows_struct,
-            art: Vec::new(),
+            units: (0..m).map(|i| (i, 1.0)).collect(),
             lower,
             upper,
             cost,
@@ -965,7 +821,7 @@ impl<'a> Tableau<'a> {
             state,
             basis,
             x,
-            binv,
+            factor: Factor::default(),
             pivots_since_refactor: 0,
             stall_count: 0,
         };
@@ -1000,13 +856,13 @@ impl<'a> Tableau<'a> {
             }
             // Row r of the inverse gives every candidate's pivot element
             // cheaply: alpha_j = rho · col_j.
-            let rho = &self.binv[r * self.m..(r + 1) * self.m];
+            let rho = self.inverse_row(r);
             let mut pick: Option<(usize, f64)> = None;
             for j in 0..self.n_slack_end {
                 if matches!(self.state[j], VarState::Basic(_)) {
                     continue;
                 }
-                let alpha: f64 = self.col(j).map(|(i, a)| rho[i] * a).sum();
+                let alpha: f64 = self.col(j).iter().map(|&(i, a)| rho[i] * a).sum();
                 if alpha.abs() <= 1e-7 || self.reduced_cost(j, &y, Phase::Two).abs() > tol {
                     continue;
                 }
@@ -1091,6 +947,9 @@ impl<'a> Tableau<'a> {
         self.stall_count = 0;
         let tol = self.opts.tol;
         let mut alpha = vec![0.0; self.n_slack_end];
+        // The multipliers are computed afresh with every factorization and
+        // updated along the pivot row in between.
+        let mut y = self.multipliers(Phase::Two);
         for _iter in 0..self.opts.max_iters {
             if !self.budget.is_unlimited() && self.budget.exhausted() {
                 crate::metrics::LP_BUDGET_EXHAUSTED.inc();
@@ -1100,6 +959,7 @@ impl<'a> Tableau<'a> {
             crate::metrics::LP_DUAL_PIVOTS.inc();
             if self.pivots_since_refactor >= self.opts.refactor_every {
                 self.refactorize()?;
+                y = self.multipliers(Phase::Two);
             }
             // Leaving variable: the basic with the largest bound violation.
             let mut leave: Option<(usize, f64, bool)> = None;
@@ -1127,26 +987,24 @@ impl<'a> Tableau<'a> {
             }
             // Pivot row over the nonbasic columns, assembled sparsely:
             // alpha = (row r of B^-1) · A restricted to structurals+slacks.
-            let m = self.m;
-            let rho = &self.binv[r * m..(r + 1) * m];
+            let rho = self.inverse_row(r);
             alpha.fill(0.0);
             for (i, &ri) in rho.iter().enumerate() {
                 if ri == 0.0 {
                     continue;
                 }
-                for &(col, coef) in &self.rows_struct[i] {
+                for &(col, coef) in self.a.row(i) {
                     alpha[col] += ri * coef;
                 }
                 alpha[self.n_struct + i] += ri;
             }
-            let y = self.multipliers(Phase::Two);
             let sigma = if above { 1.0 } else { -1.0 };
             // Entering variable: dual ratio test. Eligibility keeps the
             // entering step's primal direction consistent with removing the
             // violation; the min ratio |d/alpha| keeps every other reduced
             // cost correctly signed after the pivot. Ties prefer the
             // largest pivot magnitude for stability.
-            let mut best: Option<(usize, f64, f64)> = None;
+            let mut best: Option<(usize, f64, f64, f64)> = None;
             for (j, &aj) in alpha.iter().enumerate() {
                 if matches!(self.state[j], VarState::Basic(_)) {
                     continue;
@@ -1167,15 +1025,15 @@ impl<'a> Tableau<'a> {
                 let ratio = (d / a).max(0.0);
                 let better = match best {
                     None => true,
-                    Some((_, br, ba)) => {
+                    Some((_, br, ba, _)) => {
                         ratio < br - 1e-12 || (ratio <= br + 1e-12 && a.abs() > ba)
                     }
                 };
                 if better {
-                    best = Some((j, ratio, a.abs()));
+                    best = Some((j, ratio, a.abs(), d));
                 }
             }
-            let Some((j, _, _)) = best else {
+            let Some((j, _, _, d)) = best else {
                 // Dual unbounded ⇒ primal infeasible. The caller re-proves
                 // this with a cold phase-1 run before trusting it: a false
                 // infeasible here (tolerance artifact) would unsoundly
@@ -1214,6 +1072,12 @@ impl<'a> Tableau<'a> {
             };
             self.x[leaving] = bound;
             self.pivot(r, j, &w)?;
+            // `j` enters with reduced cost 0: y moves along row r of the
+            // old inverse.
+            let theta = d / piv;
+            for (yi, &ri) in y.iter_mut().zip(&rho) {
+                *yi += theta * ri;
+            }
             if self.pivots_since_refactor.is_multiple_of(64) {
                 self.recompute_basics();
             }
@@ -1320,7 +1184,13 @@ fn finish_tableau(
     match status {
         SolveStatus::Optimal => {
             tableau.drive_out_artificials();
-            tableau.recompute_basics();
+            // The point, the duals and the basis handed on are read off
+            // fresh factors rather than through the eta file: where the
+            // true optimum is exactly 0, rounding in the etas can put it a
+            // few ulps on the wrong side.
+            if tableau.pivots_since_refactor == 0 || tableau.refactorize().is_err() {
+                tableau.recompute_basics();
+            }
             // Row duals in the user's orientation: the internal problem is
             // always a minimization (costs negated for Maximize), so the
             // user-facing shadow price flips sign for Maximize.
@@ -1391,13 +1261,14 @@ pub(crate) fn solve(
     opts: &SimplexOptions,
     budget: &Budget<'_>,
 ) -> Result<Solution, LpError> {
-    solve_reuse(problem, opts, budget, None).map(|(sol, _)| sol)
+    solve_reuse(problem, &Matrix::new(problem), opts, budget, None).map(|(sol, _)| sol)
 }
 
-/// Solves `problem`, optionally seeding the simplex from `warm`, and
-/// returns the optimal basis for the caller to reuse on the next related
-/// solve. The row/variable layout is exactly the caller's, so duals and
-/// Farkas multipliers line up one to one with the rows it built.
+/// Solves `problem`, whose constraint matrix is `a`, optionally seeding the
+/// simplex from `warm`, and returns the optimal basis for the caller to
+/// reuse on the next related solve. The row/variable layout is exactly the
+/// caller's, so duals and Farkas multipliers line up one to one with the
+/// rows it built.
 ///
 /// A warm basis is a pure accelerator: when it is dual- or primal-feasible
 /// the solve finishes in few pivots, and in every other case (stale,
@@ -1412,6 +1283,7 @@ pub(crate) fn solve(
 /// not as errors.
 pub(crate) fn solve_reuse(
     problem: &LpProblem,
+    a: &Matrix,
     opts: &SimplexOptions,
     budget: &Budget<'_>,
     warm: Option<&Basis>,
@@ -1427,7 +1299,7 @@ pub(crate) fn solve_reuse(
     }
     if let Some(basis) = warm {
         if basis.fits(problem.num_vars(), problem.rows.len()) {
-            if let Some(mut tab) = Tableau::with_basis(problem, opts, budget, basis) {
+            if let Some(mut tab) = Tableau::with_basis(problem, a, opts, budget, basis) {
                 match tab.warm_run() {
                     Ok(WarmOutcome::Solved(status)) => {
                         return Ok(finish_tableau(tab, problem, status));
@@ -1444,7 +1316,7 @@ pub(crate) fn solve_reuse(
             }
         }
     }
-    let mut tableau = Tableau::new(problem, opts, budget);
+    let mut tableau = Tableau::new(problem, a, opts, budget);
     let status = tableau.run()?;
     Ok(finish_tableau(tableau, problem, status))
 }
@@ -1507,6 +1379,15 @@ mod tests {
 
     fn expr(terms: &[(crate::VarId, f64)]) -> LinExpr {
         terms.iter().map(|&(v, c)| (v, c)).collect()
+    }
+
+    fn reuse(
+        p: &LpProblem,
+        opts: &SimplexOptions,
+        budget: &Budget<'_>,
+        warm: Option<&Basis>,
+    ) -> Result<(Solution, Option<Basis>), LpError> {
+        solve_reuse(p, &Matrix::new(p), opts, budget, warm)
     }
 
     #[test]
@@ -1747,12 +1628,12 @@ mod tests {
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
         let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
-        let (first, basis) = solve_reuse(&p, &opts, &budget, None).unwrap();
+        let (first, basis) = reuse(&p, &opts, &budget, None).unwrap();
         assert!(first.is_optimal());
         let basis = basis.expect("optimal solve yields a basis");
         p.bounds[1] = (0.0, 3.0); // tighten y ≤ 3 as a branch would
-        let (cold, _) = solve_reuse(&p, &opts, &budget, None).unwrap();
-        let (warm, warm_basis) = solve_reuse(&p, &opts, &budget, Some(&basis)).unwrap();
+        let (cold, _) = reuse(&p, &opts, &budget, None).unwrap();
+        let (warm, warm_basis) = reuse(&p, &opts, &budget, Some(&basis)).unwrap();
         assert!(cold.is_optimal() && warm.is_optimal());
         assert!(
             (warm.objective - cold.objective).abs() < 1e-7,
@@ -1776,12 +1657,12 @@ mod tests {
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
         let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
-        let (_, basis) = solve_reuse(&p, &opts, &budget, None).unwrap();
+        let (_, basis) = reuse(&p, &opts, &budget, None).unwrap();
         let basis = basis.expect("basis");
         let z = p.add_var(0.0, 1.0);
         p.add_constraint(expr(&[(x, 1.0), (z, 5.0)]), Sense::Le, 30.0);
-        let (cold, _) = solve_reuse(&p, &opts, &budget, None).unwrap();
-        let (warm, _) = solve_reuse(&p, &opts, &budget, Some(&basis)).unwrap();
+        let (cold, _) = reuse(&p, &opts, &budget, None).unwrap();
+        let (warm, _) = reuse(&p, &opts, &budget, Some(&basis)).unwrap();
         assert!(cold.is_optimal() && warm.is_optimal());
         assert!((warm.objective - cold.objective).abs() < 1e-7);
     }
@@ -1796,7 +1677,7 @@ mod tests {
         small.set_objective(Direction::Maximize, expr(&[(a, 1.0)]));
         let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
-        let (_, basis) = solve_reuse(&small, &opts, &budget, None).unwrap();
+        let (_, basis) = reuse(&small, &opts, &budget, None).unwrap();
         let basis = basis.expect("basis");
         let mut big = LpProblem::new();
         let x = big.add_var(0.0, 4.0);
@@ -1804,8 +1685,8 @@ mod tests {
         big.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 1.0);
         big.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         big.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let (cold, _) = solve_reuse(&big, &opts, &budget, None).unwrap();
-        let (warm, _) = solve_reuse(&big, &opts, &budget, Some(&basis)).unwrap();
+        let (cold, _) = reuse(&big, &opts, &budget, None).unwrap();
+        let (warm, _) = reuse(&big, &opts, &budget, Some(&basis)).unwrap();
         assert!(cold.is_optimal() && warm.is_optimal());
         assert!((warm.objective - cold.objective).abs() < 1e-7);
     }
@@ -1820,13 +1701,13 @@ mod tests {
         p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
         let opts = SimplexOptions::default();
-        let (first, basis) = solve_reuse(&p, &opts, &Budget::unlimited(), None).unwrap();
+        let (first, basis) = reuse(&p, &opts, &Budget::unlimited(), None).unwrap();
         assert!(first.is_optimal());
         let basis = basis.expect("basis");
         p.bounds[1] = (0.0, 2.0);
         let expired = Budget::default()
             .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        let err = solve_reuse(&p, &opts, &expired, Some(&basis)).unwrap_err();
+        let err = reuse(&p, &opts, &expired, Some(&basis)).unwrap_err();
         assert_eq!(err, LpError::BudgetExceeded);
     }
 
@@ -1842,12 +1723,12 @@ mod tests {
         p.set_objective(Direction::Maximize, expr(&[(x, 1.0), (y, 1.0)]));
         let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
-        let (first, basis) = solve_reuse(&p, &opts, &budget, None).unwrap();
+        let (first, basis) = reuse(&p, &opts, &budget, None).unwrap();
         assert!(first.is_optimal());
         let basis = basis.expect("basis");
         p.bounds[0] = (1.0, 1.0);
         p.bounds[1] = (1.0, 1.0); // x + y = 2 > 1: infeasible
-        let (warm, _) = solve_reuse(&p, &opts, &budget, Some(&basis)).unwrap();
+        let (warm, _) = reuse(&p, &opts, &budget, Some(&basis)).unwrap();
         assert_eq!(warm.status, SolveStatus::Infeasible);
     }
 
@@ -1862,18 +1743,58 @@ mod tests {
         tab.basis = basis;
     }
 
+    /// Entry `(row, pos)` of the tableau's current basis matrix.
+    fn basis_entry(tab: &Tableau<'_>, row: usize, pos: usize) -> f64 {
+        tab.col(tab.basis[pos])
+            .iter()
+            .find(|&&(i, _)| i == row)
+            .map_or(0.0, |&(_, a)| a)
+    }
+
+    /// Asserts `B·ftran(e_c) = e_c` and `btran(e_r)ᵀ·B = e_rᵀ` for every
+    /// unit vector.
+    fn assert_solves_invert_basis(tab: &Tableau<'_>, when: &str) {
+        let m = tab.m;
+        for c in 0..m {
+            let mut e = vec![0.0; m];
+            e[c] = 1.0;
+            let x = tab.factor.ftran(&mut e);
+            for r in 0..m {
+                let bx: f64 = (0..m).map(|pos| basis_entry(tab, r, pos) * x[pos]).sum();
+                let want = if r == c { 1.0 } else { 0.0 };
+                assert!(
+                    (bx - want).abs() < 1e-9,
+                    "{when}: (B·ftran(e_{c}))[{r}] = {bx}"
+                );
+            }
+        }
+        for r in 0..m {
+            let y = tab.inverse_row(r);
+            for pos in 0..m {
+                let yb: f64 = (0..m).map(|i| y[i] * basis_entry(tab, i, pos)).sum();
+                let want = if pos == r { 1.0 } else { 0.0 };
+                assert!(
+                    (yb - want).abs() < 1e-9,
+                    "{when}: (btran(e_{r})ᵀ·B)[{pos}] = {yb}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn block_factorization_inverts_mixed_bases() {
         // Random problems whose `≥` rows (positive rhs) and `≤` rows
         // (negative rhs) start with artificials of sign +1 and −1. Each
         // row of a random basis is covered by its slack, its artificial,
-        // or left free for a structural column; the refactorized inverse
-        // must satisfy B·B⁻¹ = I whatever order the positions come in.
+        // or left free for a structural column; FTRAN and BTRAN must invert
+        // the basis whatever order the positions come in, both on the
+        // fresh LU factors and after a run of eta updates on top of them.
         let mut rng = raven_tensor::Rng::new(0xB10C);
         let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
         let mut checked = 0;
         let mut mixed = 0;
+        let mut updated = 0;
         for _ in 0..200 {
             let m = 1 + rng.below(9);
             let n = m + rng.below(4);
@@ -1893,11 +1814,12 @@ mod tests {
                 };
                 p.add_constraint(row, sense, rhs);
             }
-            let mut tab = Tableau::new(&p, &opts, &budget);
+            let a = Matrix::new(&p);
+            let mut tab = Tableau::new(&p, &a, &opts, &budget);
             let mut basis = Vec::with_capacity(m);
             let mut free_rows = 0;
             for row in 0..m {
-                let art = tab.art.iter().position(|&(r, _)| r == row);
+                let art = tab.units[m..].iter().position(|&(r, _)| r == row);
                 match (rng.below(3), art) {
                     (0, _) => free_rows += 1,
                     (1, Some(a)) => basis.push(tab.n_slack_end + a),
@@ -1913,21 +1835,7 @@ mod tests {
                 // A sparse random block can be genuinely singular.
                 continue;
             }
-            for r in 0..m {
-                for c in 0..m {
-                    let bb: f64 = (0..m)
-                        .map(|pos| {
-                            let b_r = tab
-                                .col(tab.basis[pos])
-                                .find(|&(i, _)| i == r)
-                                .map_or(0.0, |(_, a)| a);
-                            b_r * tab.binv[pos * m + c]
-                        })
-                        .sum();
-                    let want = if r == c { 1.0 } else { 0.0 };
-                    assert!((bb - want).abs() < 1e-9, "(B·B⁻¹)[{r}][{c}] = {bb}");
-                }
-            }
+            assert_solves_invert_basis(&tab, "refactorized");
             checked += 1;
             let has = |range: std::ops::Range<usize>| tab.basis.iter().any(|v| range.contains(v));
             if has(0..tab.n_struct)
@@ -1936,11 +1844,36 @@ mod tests {
             {
                 mixed += 1;
             }
+            // Eta updates: bring random nonbasic columns in on their
+            // largest FTRAN entry.
+            let mut pivots = 0;
+            for _ in 0..2 * m {
+                let j = rng.below(tab.n_total);
+                if matches!(tab.state[j], VarState::Basic(_)) {
+                    continue;
+                }
+                let w = tab.ftran(j);
+                let r = (0..m)
+                    .max_by(|&x, &y| w[x].abs().total_cmp(&w[y].abs()))
+                    .expect("m ≥ 1");
+                if w[r].abs() < 0.1 {
+                    continue;
+                }
+                let leaving = tab.basis[r];
+                tab.pivot(r, j, &w).expect("pivot on a large entry");
+                tab.state[leaving] = VarState::NbLower;
+                pivots += 1;
+            }
+            if pivots > 0 {
+                assert_solves_invert_basis(&tab, "after eta updates");
+                updated += 1;
+            }
         }
-        // Coverage guard: most draws factorize, many mix all three kinds.
+        // Coverage guard: most draws factorize, many mix all three kinds,
+        // and most carry eta updates too.
         assert!(
-            checked >= 120 && mixed >= 50,
-            "{checked} checked, {mixed} mixed"
+            checked >= 120 && mixed >= 50 && updated >= 100,
+            "{checked} checked, {mixed} mixed, {updated} updated"
         );
     }
 
@@ -1958,7 +1891,8 @@ mod tests {
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 2.0), (z, 1.0)]));
         let opts = SimplexOptions::default();
         let budget = Budget::unlimited();
-        let mut tab = Tableau::new(&p, &opts, &budget);
+        let a = Matrix::new(&p);
+        let mut tab = Tableau::new(&p, &a, &opts, &budget);
         install_basis(&mut tab, vec![0, 1]);
         assert_eq!(tab.refactorize(), Err(LpError::SingularBasis));
 
@@ -1973,8 +1907,8 @@ mod tests {
             n_struct: 3,
             m: 2,
         };
-        let (cold, _) = solve_reuse(&p, &opts, &budget, None).unwrap();
-        let (warm, _) = solve_reuse(&p, &opts, &budget, Some(&singular)).unwrap();
+        let (cold, _) = reuse(&p, &opts, &budget, None).unwrap();
+        let (warm, _) = reuse(&p, &opts, &budget, Some(&singular)).unwrap();
         assert!(cold.is_optimal() && warm.is_optimal());
         assert!(
             (warm.objective - cold.objective).abs() < 1e-7,

@@ -248,3 +248,289 @@ fn refactorizing_every_pivot_matches_the_default_cadence() {
     }
     assert!(optimal > 0, "some random LP must be feasible");
 }
+
+/// A row `Σ coef·x_var ⋚ rhs` as `(terms, sense, rhs)`.
+type NnRow = (Vec<(usize, f64)>, Sense, f64);
+
+/// A relational LP of the shape the verifier builds, at realistic size
+/// (m ≈ 100–300): `k` executions of a random two-layer ReLU network share
+/// one input perturbation `δ ∈ [−ε, ε]^d`. Each execution has dense affine
+/// blocks (one equality row per neuron), triangle relaxations over interval
+/// bounds (two inequality rows per unstable ReLU) and a margin; with
+/// `milp`, one binary per execution flags a margin pushed to ≤ 0 through a
+/// big-M row, and the objective counts the flags.
+#[derive(Debug, Clone)]
+struct NnLp {
+    bounds: Vec<(f64, f64)>,
+    integer: Vec<bool>,
+    rows: Vec<NnRow>,
+    objective: Vec<(usize, f64)>,
+    maximize: bool,
+}
+
+impl NnLp {
+    fn var(&mut self, lo: f64, hi: f64) -> usize {
+        self.bounds.push((lo, hi));
+        self.integer.push(false);
+        self.bounds.len() - 1
+    }
+}
+
+fn nn_lp(rng: &mut Rng, milp: bool) -> NnLp {
+    let d = 4 + rng.below(4);
+    let k = 2 + rng.below(2);
+    let widths = [10 + rng.below(8), 10 + rng.below(8), 2];
+    let eps = rng.in_range(0.05, 0.3);
+    let layers: Vec<(Vec<Vec<f64>>, Vec<f64>)> = widths
+        .iter()
+        .scan(d, |fan_in, &h| {
+            let scale = 2.0 / (*fan_in as f64).sqrt();
+            let w = (0..h)
+                .map(|_| {
+                    (0..*fan_in)
+                        .map(|_| scale * rng.in_range(-1.0, 1.0))
+                        .collect()
+                })
+                .collect();
+            let b = (0..h).map(|_| rng.in_range(-0.3, 0.3)).collect();
+            *fan_in = h;
+            Some((w, b))
+        })
+        .collect();
+    let mut lp = NnLp {
+        bounds: Vec::new(),
+        integer: Vec::new(),
+        rows: Vec::new(),
+        objective: Vec::new(),
+        maximize: milp || rng.below(2) == 0,
+    };
+    let delta: Vec<usize> = (0..d).map(|_| lp.var(-eps, eps)).collect();
+    for _ in 0..k {
+        // Inputs x = c + δ.
+        let mut vals: Vec<(usize, f64, f64)> = Vec::with_capacity(d);
+        for &dv in &delta {
+            let c = rng.uniform();
+            let x = lp.var(c - eps, c + eps);
+            lp.rows.push((vec![(x, 1.0), (dv, -1.0)], Sense::Eq, c));
+            vals.push((x, c - eps, c + eps));
+        }
+        for (li, (w, b)) in layers.iter().enumerate() {
+            let last = li + 1 == layers.len();
+            let mut next = Vec::with_capacity(w.len());
+            for (wj, &bj) in w.iter().zip(b) {
+                // Pre-activation y = W a + b over interval bounds.
+                let (mut lo, mut hi) = (bj, bj);
+                for (&wjk, &(_, l, u)) in wj.iter().zip(&vals) {
+                    lo += (wjk * l).min(wjk * u);
+                    hi += (wjk * l).max(wjk * u);
+                }
+                let y = lp.var(lo, hi);
+                let mut row = vec![(y, 1.0)];
+                row.extend(wj.iter().zip(&vals).map(|(&wjk, &(a, _, _))| (a, -wjk)));
+                lp.rows.push((row, Sense::Eq, bj));
+                if last {
+                    next.push((y, lo, hi));
+                } else if hi <= 0.0 {
+                    next.push((lp.var(0.0, 0.0), 0.0, 0.0));
+                } else if lo >= 0.0 {
+                    let a = lp.var(lo, hi);
+                    lp.rows.push((vec![(a, 1.0), (y, -1.0)], Sense::Eq, 0.0));
+                    next.push((a, lo, hi));
+                } else {
+                    // Triangle: a ≥ 0, a ≥ y, a ≤ u (y − l) / (u − l).
+                    let a = lp.var(0.0, hi);
+                    let slope = hi / (hi - lo);
+                    lp.rows.push((vec![(a, 1.0), (y, -1.0)], Sense::Ge, 0.0));
+                    lp.rows
+                        .push((vec![(a, 1.0), (y, -slope)], Sense::Le, -slope * lo));
+                    next.push((a, 0.0, hi));
+                }
+            }
+            vals = next;
+        }
+        // Margin of logit 0 over logit 1.
+        let (o0, o1) = (vals[0], vals[1]);
+        let margin = vec![(o0.0, 1.0), (o1.0, -1.0)];
+        if milp {
+            // z = 1 forces the margin to ≤ 0: margin + M z ≤ M.
+            let big_m = (o0.2 - o1.1).max(0.0) + 1.0;
+            let z = lp.var(0.0, 1.0);
+            lp.integer[z] = true;
+            let mut row = margin;
+            row.push((z, big_m));
+            lp.rows.push((row, Sense::Le, big_m));
+            lp.objective.push((z, 1.0));
+        } else {
+            lp.objective.extend(margin);
+        }
+    }
+    lp
+}
+
+fn build_nn(lp: &NnLp) -> LpProblem {
+    let mut p = LpProblem::new();
+    let vars: Vec<raven_lp::VarId> = lp
+        .bounds
+        .iter()
+        .zip(&lp.integer)
+        .map(|(&(lo, hi), &int)| {
+            if int {
+                p.add_binary_var()
+            } else {
+                p.add_var(lo, hi)
+            }
+        })
+        .collect();
+    for (terms, sense, rhs) in &lp.rows {
+        let row: LinExpr = terms.iter().map(|&(v, c)| (vars[v], c)).collect();
+        p.add_constraint(row, *sense, *rhs);
+    }
+    let obj: LinExpr = lp.objective.iter().map(|&(v, c)| (vars[v], c)).collect();
+    let direction = if lp.maximize {
+        Direction::Maximize
+    } else {
+        Direction::Minimize
+    };
+    p.set_objective(direction, obj);
+    p
+}
+
+/// Asserts that `sol`'s row duals certify its optimum on `lp`: in the
+/// internal minimization form, `≤` rows carry `y ≤ 0` and `≥` rows `y ≥ 0`,
+/// each variable's reduced cost has the sign its position in the box
+/// allows, and `yᵀb + dᵀx` equals the objective.
+fn assert_dual_feasible(lp: &NnLp, sol: &raven_lp::Solution) {
+    const TOL: f64 = 1e-6;
+    let s = if lp.maximize { -1.0 } else { 1.0 };
+    assert_eq!(sol.duals.len(), lp.rows.len());
+    let y: Vec<f64> = sol.duals.iter().map(|&v| s * v).collect();
+    let mut d = vec![0.0; lp.bounds.len()];
+    for &(v, c) in &lp.objective {
+        d[v] += s * c;
+    }
+    let mut dual_obj = 0.0;
+    for ((terms, sense, rhs), &yi) in lp.rows.iter().zip(&y) {
+        match sense {
+            Sense::Le => assert!(yi <= TOL, "≤ row dual {yi}"),
+            Sense::Ge => assert!(yi >= -TOL, "≥ row dual {yi}"),
+            Sense::Eq => {}
+        }
+        for &(v, a) in terms {
+            d[v] -= yi * a;
+        }
+        dual_obj += yi * rhs;
+    }
+    for (j, (&dj, &(lo, hi))) in d.iter().zip(&lp.bounds).enumerate() {
+        let x = sol.values[j];
+        dual_obj += dj * x;
+        if hi - lo <= TOL {
+            continue;
+        }
+        let at_lo = x <= lo + TOL;
+        let at_hi = x >= hi - TOL;
+        let scale = TOL * (1.0 + dj.abs());
+        assert!(
+            at_lo && dj >= -scale || at_hi && dj <= scale || dj.abs() <= scale,
+            "variable {j} at {x} in [{lo}, {hi}] has reduced cost {dj}"
+        );
+    }
+    assert!(
+        (dual_obj - s * sol.objective).abs() <= TOL * (1.0 + sol.objective.abs()),
+        "dual objective {dual_obj} vs primal {}",
+        s * sol.objective
+    );
+}
+
+#[test]
+fn nn_shaped_lps_agree_across_refactorization_cadences() {
+    // Layered LPs at the verifier's size: the default cadence (a long
+    // cold solve crosses several refactorizations and many eta updates)
+    // must agree with refactorizing before every pivot, and the optimal
+    // duals must certify the optimum.
+    let mut rng = Rng::new(0x19_07);
+    let every = SimplexOptions {
+        refactor_every: 1,
+        ..SimplexOptions::default()
+    };
+    let cadence = SimplexOptions::default().refactor_every;
+    let mut long_solves = 0;
+    for _ in 0..12 {
+        let lp = nn_lp(&mut rng, false);
+        assert!(
+            (100..=300).contains(&lp.rows.len()),
+            "m = {}",
+            lp.rows.len()
+        );
+        let p = build_nn(&lp);
+        let a = p.solve().expect("default solve");
+        let b = p.solve_with(&every).expect("refactor-every-pivot solve");
+        assert_eq!(a.status, SolveStatus::Optimal);
+        assert_eq!(a.status, b.status);
+        assert!(
+            (a.objective - b.objective).abs() < 1e-6,
+            "default {} vs every pivot {}",
+            a.objective,
+            b.objective
+        );
+        assert!(p.is_feasible(&a.values, 1e-6));
+        assert_dual_feasible(&lp, &a);
+        assert_dual_feasible(&lp, &b);
+        // A cold start has every structural nonbasic, so each one strictly
+        // inside its box entered the basis by a pivot of its own.
+        let interior = a
+            .values
+            .iter()
+            .zip(&lp.bounds)
+            .filter(|&(&x, &(lo, hi))| x > lo + 1e-6 && x < hi - 1e-6)
+            .count();
+        if interior >= 3 * cadence {
+            long_solves += 1;
+        }
+    }
+    assert!(
+        long_solves >= 6,
+        "only {long_solves} solves crossed three refactorizations"
+    );
+}
+
+#[test]
+fn nn_shaped_milps_agree_across_cadences_and_warm_starts() {
+    // The same layered LPs with big-M indicator rows: branch & bound must
+    // reach the same status and count with the default cadence, with a
+    // refactorization before every pivot, and with warm starts off.
+    let mut rng = Rng::new(0x19_08);
+    let every = MilpOptions {
+        simplex: SimplexOptions {
+            refactor_every: 1,
+            ..SimplexOptions::default()
+        },
+        ..MilpOptions::default()
+    };
+    let cold = MilpOptions {
+        warm_start: false,
+        ..MilpOptions::default()
+    };
+    for _ in 0..6 {
+        let lp = nn_lp(&mut rng, true);
+        let p = build_nn(&lp);
+        let w = p.solve_milp().expect("default milp");
+        let e = p
+            .solve_milp_with(&every)
+            .expect("refactor-every-pivot milp");
+        let c = p.solve_milp_with(&cold).expect("cold milp");
+        assert_eq!(w.status, SolveStatus::Optimal);
+        for (name, other) in [("every pivot", &e), ("cold", &c)] {
+            assert_eq!(w.status, other.status, "{name}");
+            assert!(
+                (w.objective - other.objective).abs() < 1e-6,
+                "default {} vs {name} {}",
+                w.objective,
+                other.objective
+            );
+        }
+        assert!(p.is_feasible(&w.values, 1e-6));
+        for (&x, &int) in w.values.iter().zip(&lp.integer) {
+            assert!(!int || (x - x.round()).abs() < 1e-6, "non-integral {x}");
+        }
+    }
+}

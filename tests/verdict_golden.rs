@@ -6,7 +6,8 @@
 //! methods solve the spec MILP, RaVeN's analysis-tier verdicts on a sigmoid
 //! and a leaky-ReLU network, the ℓ1-budgeted UAP verifier at both tiers,
 //! monotonicity, the targeted UAP bounds, and the certificate JSON of
-//! certified RaVeN runs. Each case hashes its bytes with FNV-1a 64 (the
+//! certified runs, one per proof shape (LP dual bound, branch-and-bound
+//! tree, node-capped tree). Each case hashes its bytes with FNV-1a 64 (the
 //! scheme of `tests/encode_golden.rs`); JSON numbers print in their
 //! shortest round-trip form, so a hash moves exactly when a verdict bit
 //! does.
@@ -30,6 +31,9 @@ use std::path::{Path, PathBuf};
 const ANALYSIS_EPS: f64 = 0.005;
 /// ε at which the relational methods need the spec MILP.
 const MILP_EPS: f64 = 0.15;
+/// ε at which RaVeN's spec MILP branches at the root (its relaxation is
+/// fractional there), so a one-node cap leaves open nodes behind.
+const BRANCHING_EPS: f64 = 0.2;
 
 fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/verdicts.txt")
@@ -196,7 +200,47 @@ fn cases() -> Vec<(String, String)> {
             hash(&cert.to_json().to_string())
         ),
     ));
+    // One certificate per proof shape the spec ladder can hand over: the
+    // LP tier's dual bound, the I/O formulation's branch-and-bound tree,
+    // and a node-capped tree whose open nodes are proved by their
+    // parent's duals.
+    for (name, method, eps, config) in certificate_cases() {
+        let problem = uap_problem(&net, eps);
+        let (res, cert) = verify_uap_with_hooks(&problem, method, &config, &hooks, true)
+            .expect("default hooks never cancel");
+        let cert = cert.unwrap_or_else(|| panic!("{name} certifies"));
+        out.push((
+            format!("certificate/{name}"),
+            format!(
+                "tier={} degraded={} {}",
+                res.tier.name(),
+                res.degraded,
+                hash(&cert.to_json().to_string())
+            ),
+        ));
+    }
     out
+}
+
+/// The certified UAP runs beyond the default RaVeN one, as `(name, method,
+/// eps, config)`.
+fn certificate_cases() -> [(&'static str, Method, f64, RavenConfig); 3] {
+    let lp_tier = RavenConfig {
+        spec_milp: false,
+        ..RavenConfig::default()
+    };
+    let mut node_capped = RavenConfig::default();
+    node_capped.milp.max_nodes = 1;
+    [
+        ("uap/raven/lp", Method::Raven, MILP_EPS, lp_tier),
+        ("uap/io-lp", Method::IoLp, MILP_EPS, RavenConfig::default()),
+        (
+            "uap/raven/eps=0.2/max_nodes=1",
+            Method::Raven,
+            BRANCHING_EPS,
+            node_capped,
+        ),
+    ]
 }
 
 fn render(cases: &[(String, String)]) -> String {
@@ -248,6 +292,17 @@ fn golden_cases_reach_the_tiers_they_name() {
     for method in [Method::IoLp, Method::Raven] {
         let high = verify_uap(&uap_problem(&net, MILP_EPS), method, &config);
         assert_eq!(high.tier, Tier::Milp, "{method} at {MILP_EPS}");
+    }
+    // The certificate cases reach the tier their proof shape needs; the
+    // node cap leaves the search open, so that verdict is degraded.
+    for (name, method, eps, config) in certificate_cases() {
+        let res = verify_uap(&uap_problem(&net, eps), method, &config);
+        let (tier, degraded) = match name {
+            "uap/raven/lp" => (Tier::Lp, false),
+            "uap/io-lp" => (Tier::Milp, false),
+            _ => (Tier::Milp, true),
+        };
+        assert_eq!((res.tier, res.degraded), (tier, degraded), "{name}");
     }
     // The non-ReLU and ℓ1 analysis cases must verify every execution
     // individually and still report a relational LP.

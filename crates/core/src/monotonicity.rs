@@ -125,12 +125,12 @@ pub fn verify_monotonicity(
 /// optionally a replayable proof certificate. Returns `None` when the run
 /// was cancelled at a phase boundary.
 ///
-/// With `certify`, the run also emits the LP dual evidence from a
-/// secondary certified solve when the relational LP finished, plus the
+/// With `certify`, the run also emits the LP dual evidence of the
+/// relational LP solve when it finished, read off its solution, plus the
 /// per-neuron DeepPoly relaxation records for the two executions. The
 /// certificate is `None` when it was not asked for or the run produced no
-/// certifiable evidence; the [`MonotonicityResult`] is the same verdict
-/// either way.
+/// certifiable evidence; the [`MonotonicityResult`] is the same verdict,
+/// from the same solver call, either way.
 ///
 /// # Panics
 ///
@@ -323,19 +323,14 @@ fn verify_monotonicity_lp(
     lp.set_objective(Direction::Minimize, obj);
     let t0 = Instant::now();
     let budget = hooks.lp_budget();
-    let res = if cert.is_some() {
-        lp.solve_certified(&config.simplex, &budget)
-    } else {
-        lp.solve_with_budget(&config.simplex, &budget)
-            .map(|sol| (sol, None))
-    };
+    let res = lp.solve_with_budget(&config.simplex, &budget);
     let lp_millis = t0.elapsed().as_secs_f64() * 1e3;
     let dps = &relaxation.analyses;
     let fallback = || deeppoly_change_bound(problem, &dps[0], &dps[1]);
     Some(match res {
-        Ok((sol, lp_cert)) if sol.status == SolveStatus::Optimal => {
+        Ok(sol) if sol.status == SolveStatus::Optimal => {
             if let Some(sink) = cert {
-                sink.lp = lp_cert;
+                sink.lp = lp.certificate(&sol);
             }
             (sol.objective, Tier::Lp, false, lp_millis)
         }

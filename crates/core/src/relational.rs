@@ -35,7 +35,7 @@ use crate::hooks::{Phase, RunHooks};
 use raven_deeppoly::DeepPolyAnalysis;
 use raven_diffpoly::DiffPolyAnalysis;
 use raven_interval::Interval;
-use raven_lp::{Direction, LinExpr, LpProblem, SolveStatus, VarId};
+use raven_lp::{Budget, Direction, LinExpr, LpProblem, SolveStatus, VarId};
 use raven_nn::AnalysisPlan;
 
 /// An affine description of one execution's input coordinate in terms of
@@ -373,7 +373,7 @@ pub fn solve(
     lp.set_objective(direction, objective);
     let lp_rows = lp.num_constraints();
     let lp_vars = lp.num_vars();
-    match lp.solve_with(&config.simplex) {
+    match lp.solve_with_budget(&config.simplex, &Budget::unlimited()) {
         Ok(sol) if sol.status == SolveStatus::Optimal => Some(RelationalBound {
             value: sol.objective,
             lp_rows,

@@ -14,11 +14,10 @@ use crate::hooks::{Phase, RunHooks};
 use crate::margin::{all_positive, analysis_margins, box_margins, margin_bounds, zonotope_margins};
 use crate::relational::{relax, PairDelta, Relaxation};
 use crate::tier::{Tier, TierMillis};
-use raven_check::LpCertificate;
 use raven_deeppoly::DeepPolyAnalysis;
 use raven_interval::Interval;
 use raven_lp::{
-    BasisCache, Budget, Direction, LinExpr, LpError, LpProblem, Sense, SolveStatus, VarId,
+    BasisCache, Budget, Direction, LinExpr, LpError, LpProblem, Sense, Solution, SolveStatus, VarId,
 };
 use raven_nn::AnalysisPlan;
 use std::time::Instant;
@@ -174,12 +173,13 @@ pub fn verify_uap(problem: &UapProblem, method: Method, config: &RavenConfig) ->
 /// in-progress solve is never interrupted; no partial result is
 /// produced).
 ///
-/// With `certify`, the run also emits LP/MILP dual evidence from a
-/// secondary certified solve matched to the verdict's tier, plus the
-/// per-neuron DeepPoly relaxation records (RaVeN method only — the I/O
-/// formulation discards its analyses). The certificate is `None` when it
-/// was not asked for or the run produced no certifiable evidence; the
-/// [`UapResult`] is byte-for-byte the same verdict either way.
+/// With `certify`, the run also emits the LP/MILP dual evidence of the
+/// very solve that produced the verdict's bound, read off its solution,
+/// plus the per-neuron DeepPoly relaxation records (RaVeN method only —
+/// the I/O formulation discards its analyses). The certificate is `None`
+/// when it was not asked for or the run produced no certifiable
+/// evidence; the [`UapResult`] is byte-for-byte the same verdict, from
+/// the same solver calls, either way.
 ///
 /// # Panics
 ///
@@ -686,19 +686,17 @@ fn verify_uap_spec(
     }
     let analysis_millis = start.elapsed().as_secs_f64() * 1e3;
     lp.set_objective(Direction::Maximize, objective);
-    let spec = solve_spec_with_witness(
-        &lp,
-        config,
-        &d_vars,
-        &hooks.lp_budget(),
-        &mut BasisCache::new(),
-        cert.is_some(),
-    );
+    let spec = solve_spec(&lp, config, &hooks.lp_budget(), &mut BasisCache::new());
     if hooks.cancelled() {
         return None;
     }
+    // The witness is the shared perturbation at the winning rung's point.
+    let witness = spec.solution.as_ref().and_then(|sol| {
+        (!d_vars.is_empty() && !sol.values.is_empty())
+            .then(|| d_vars.iter().map(|&v| sol.value(v)).collect())
+    });
     if let Some(sink) = cert {
-        sink.lp = spec.cert;
+        sink.lp = spec.solution.as_ref().and_then(|sol| lp.certificate(sol));
     }
     // Executions without indicators are proven individually robust, so the
     // adversary count can never exceed the union bound — this is also the
@@ -713,7 +711,7 @@ fn verify_uap_spec(
         lp_rows,
         lp_vars,
         exact: spec.exact,
-        counterexample_delta: spec.witness,
+        counterexample_delta: witness,
         tier: spec.tier,
         degraded: spec.degraded,
         tier_millis: TierMillis {
@@ -864,21 +862,15 @@ pub fn verify_targeted_uap_all(
                 lp.add_constraint(row, Sense::Le, big_m);
             }
             lp.set_objective(Direction::Maximize, objective);
-            let (bound, exact) = solve_spec(&lp, config, &mut cache);
+            let spec = solve_spec(&lp, config, &Budget::unlimited(), &mut cache);
             TargetedUapResult {
                 method,
-                max_forced: bound.clamp(0.0, vulnerable.len() as f64),
+                max_forced: spec.bound.clamp(0.0, vulnerable.len() as f64),
                 solve_millis: start.elapsed().as_secs_f64() * 1e3,
-                exact,
+                exact: spec.exact,
             }
         })
         .collect()
-}
-
-/// Solves the counting spec, returning `(bound, exact)`.
-fn solve_spec(lp: &LpProblem, config: &RavenConfig, cache: &mut BasisCache) -> (f64, bool) {
-    let spec = solve_spec_with_witness(lp, config, &[], &Budget::unlimited(), cache, false);
-    (spec.bound, spec.exact)
 }
 
 /// Outcome of one walk down the spec-solve degradation ladder.
@@ -888,8 +880,10 @@ struct SpecSolve {
     bound: f64,
     /// Whether the bound is exact over the indicators (MILP optimum).
     exact: bool,
-    /// Optimal/incumbent values of the witness variables, when available.
-    witness: Option<Vec<f64>>,
+    /// The solution of the rung that produced `bound`: its values hold the
+    /// optimal or incumbent point, its proof the certificate evidence.
+    /// `None` when no solve finished.
+    solution: Option<Solution>,
     /// Deepest ladder tier that produced `bound`.
     tier: Tier,
     /// Whether a budget forced the result below the configured precision.
@@ -898,14 +892,10 @@ struct SpecSolve {
     lp_millis: f64,
     /// Wall-clock spent inside the MILP solve.
     milp_millis: f64,
-    /// The certificate of the solve that produced `bound`, when one was
-    /// asked for and the solve carries replayable evidence.
-    cert: Option<LpCertificate>,
 }
 
-/// Solves the counting spec down the degradation ladder, additionally
-/// extracting the optimal values of `witness_vars` (the shared
-/// perturbation) when available.
+/// Solves the counting spec down the degradation ladder, one solver call
+/// per rung.
 ///
 /// Ladder: MILP optimum (exact) → MILP anytime dual bound (budget ran out
 /// mid-search but the bound is sound) → LP relaxation → ∞ (caller clamps
@@ -916,64 +906,45 @@ struct SpecSolve {
 /// bound warm-starts its root from it and deposits its own root basis
 /// back); pass a fresh [`BasisCache`] when there is no related prior
 /// solve.
-///
-/// With `certify`, each rung runs its certified variant — the same solve,
-/// recording its proof — and the result keeps the certificate of the rung
-/// that produced `bound`.
-fn solve_spec_with_witness(
+fn solve_spec(
     lp: &LpProblem,
     config: &RavenConfig,
-    witness_vars: &[VarId],
     budget: &Budget<'_>,
     cache: &mut BasisCache,
-    certify: bool,
 ) -> SpecSolve {
-    let extract = |sol: &raven_lp::Solution| {
-        (!witness_vars.is_empty() && !sol.values.is_empty())
-            .then(|| witness_vars.iter().map(|&v| sol.value(v)).collect())
-    };
     let mut milp_millis = 0.0;
     let mut degraded = false;
     if config.spec_milp {
         let t0 = Instant::now();
-        let res = if certify {
-            lp.solve_milp_certified(&config.milp, budget, cache)
-        } else {
-            lp.solve_milp_cached(&config.milp, budget, cache)
-                .map(|sol| (sol, None))
-        };
+        let res = lp.solve_milp_cached(&config.milp, budget, cache);
         milp_millis = t0.elapsed().as_secs_f64() * 1e3;
         match res {
-            Ok((sol, cert)) if sol.status == SolveStatus::Optimal => {
-                let witness = extract(&sol);
+            Ok(sol) if sol.status == SolveStatus::Optimal => {
                 return SpecSolve {
                     bound: sol.objective,
                     exact: true,
-                    witness,
+                    solution: Some(sol),
                     tier: Tier::Milp,
                     degraded: false,
                     lp_millis: 0.0,
                     milp_millis,
-                    cert,
                 };
             }
-            Ok((sol, cert)) => {
+            Ok(sol) => {
                 if let SolveStatus::BudgetExceeded { best_bound } = sol.status {
                     degraded = true;
                     if best_bound.is_finite() {
                         // Anytime dual bound: every open node's parent
                         // relaxation and the incumbent are covered, so the
                         // true count is ≤ best_bound.
-                        let witness = extract(&sol);
                         return SpecSolve {
                             bound: best_bound,
                             exact: false,
-                            witness,
+                            solution: Some(sol),
                             tier: Tier::Milp,
                             degraded: true,
                             lp_millis: 0.0,
                             milp_millis,
-                            cert,
                         };
                     }
                 }
@@ -986,51 +957,27 @@ fn solve_spec_with_witness(
         }
     }
     let t0 = Instant::now();
-    let res = if certify {
-        lp.solve_certified(&config.simplex, budget)
-    } else {
-        lp.solve_with_budget(&config.simplex, budget)
-            .map(|sol| (sol, None))
-    };
+    let res = lp.solve_with_budget(&config.simplex, budget);
     let lp_millis = t0.elapsed().as_secs_f64() * 1e3;
-    match res {
-        Ok((sol, cert)) if sol.status == SolveStatus::Optimal => {
-            let witness = extract(&sol);
-            SpecSolve {
-                bound: sol.objective,
-                exact: false,
-                witness,
-                tier: Tier::Lp,
-                degraded,
-                lp_millis,
-                milp_millis,
-                cert,
-            }
+    let (bound, solution, tier) = match res {
+        Ok(sol) if sol.status == SolveStatus::Optimal => (sol.objective, Some(sol), Tier::Lp),
+        // Budget died inside the relaxation too, or a numerical failure or
+        // unexpected status: the only rung left is the analysis-phase
+        // union bound (the caller's clamp), "everything not individually
+        // verified may flip".
+        res => {
+            degraded |= matches!(res, Err(LpError::BudgetExceeded));
+            (f64::INFINITY, None, Tier::Analysis)
         }
-        // Budget died inside the relaxation too: the only rung left is the
-        // analysis-phase union bound (the caller's clamp).
-        Err(LpError::BudgetExceeded) => SpecSolve {
-            bound: f64::INFINITY,
-            exact: false,
-            witness: None,
-            tier: Tier::Analysis,
-            degraded: true,
-            lp_millis,
-            milp_millis,
-            cert: None,
-        },
-        // Numerical failure or unexpected status: fall back to the trivial
-        // sound answer "everything not individually verified may flip".
-        _ => SpecSolve {
-            bound: f64::INFINITY,
-            exact: false,
-            witness: None,
-            tier: Tier::Analysis,
-            degraded,
-            lp_millis,
-            milp_millis,
-            cert: None,
-        },
+    };
+    SpecSolve {
+        bound,
+        exact: false,
+        solution,
+        tier,
+        degraded,
+        lp_millis,
+        milp_millis,
     }
 }
 

@@ -1,15 +1,16 @@
-//! Certificate emission: packaging a solve's duals, Farkas multipliers, and
-//! branch-and-bound leaf proofs into a [`raven_check::LpCertificate`] that
-//! the exact checker can replay independently.
+//! Certificate emission: packaging a solution's proof — its optimal
+//! duals, Farkas multipliers, or branch-and-bound leaf proofs — into a
+//! [`raven_check::LpCertificate`] that the exact checker can replay
+//! independently.
 //!
-//! Emission never affects solving. The certified entry points on
-//! [`LpProblem`](crate::LpProblem) run the same solve as their plain
-//! counterparts — the solver always works on the rows exactly as built, so
-//! the duals line up one to one with the rows the certificate records —
-//! and collect per-leaf proofs as the tree is explored. A solve that
-//! cannot be certified (an unbounded relaxation, an infeasibility detected
-//! without usable multipliers) simply yields `None`; it never degrades the
-//! solution itself.
+//! Emission never affects solving. Every solve records its proof on the
+//! [`Solution`] it returns (the solver always works on the rows exactly as
+//! built, so the duals line up one to one with the rows the certificate
+//! records), and [`LpProblem::certificate`](crate::LpProblem::certificate)
+//! packages it on request. A solution that cannot be certified (an
+//! unbounded relaxation, an infeasibility detected without usable
+//! multipliers) simply yields `None`; it never degrades the solution
+//! itself.
 
 use crate::model::{Direction, LpProblem, Sense, Solution, SolveStatus};
 use raven_check::{
@@ -111,97 +112,53 @@ fn infeasible_claim(direction: Direction) -> f64 {
     }
 }
 
-/// Certificate for a pure-LP solve (no branching): the optimal duals prove
-/// the objective bound, or the Farkas multipliers prove infeasibility.
-/// `None` when the outcome carries no replayable evidence.
-pub(crate) fn bound_certificate(problem: &LpProblem, sol: &Solution) -> Option<LpCertificate> {
-    match sol.status {
-        SolveStatus::Optimal if sol.duals.len() == problem.rows.len() => Some(LpCertificate {
-            problem: problem_cert(problem),
-            claimed_bound: sol.objective,
-            proof: LpProof::Bound {
-                duals: oriented_duals(problem, &sol.duals),
-            },
-        }),
-        SolveStatus::Infeasible if sol.farkas.len() == problem.rows.len() => Some(LpCertificate {
-            problem: problem_cert(problem),
-            claimed_bound: infeasible_claim(problem.direction),
-            proof: LpProof::Farkas {
-                ray: oriented_ray(problem, &sol.farkas),
-            },
-        }),
-        _ => None,
-    }
-}
-
-/// Per-leaf proofs gathered during a certified branch-and-bound run.
-///
-/// Every node the search pops and disposes of contributes one leaf (or
-/// flips `certifiable` off when it cannot): infeasible relaxations
-/// contribute their Farkas ray, explored/pruned relaxations their duals,
-/// and nodes left open at a budget exit their parent's duals. Empty-box
-/// prunes contribute nothing — the checker proves those subtrees
-/// integer-empty on its own.
-#[derive(Debug, Default)]
-pub(crate) struct BranchCollector {
-    pub(crate) leaves: Vec<BranchLeaf>,
-    pub(crate) uncertifiable: bool,
-}
-
-impl BranchCollector {
-    pub(crate) fn leaf(&mut self, fixes: &[(usize, f64, f64)], proof: LeafProof) {
-        self.leaves.push(BranchLeaf {
-            fixes: fixes.to_vec(),
-            proof,
-        });
-    }
-}
-
-/// Certificate for a certified branch-and-bound run. `None` when any part
-/// of the tree lacked evidence.
-pub(crate) fn branch_certificate(
-    problem: &LpProblem,
-    sol: &Solution,
-    collector: BranchCollector,
-) -> Option<LpCertificate> {
-    if collector.uncertifiable {
-        return None;
-    }
+/// The certificate of `sol`, a solution of `problem`: its proof with
+/// wrong-signed noise zeroed, and the bound that proof establishes. `None`
+/// when the solution carries no proof or is unbounded.
+pub(crate) fn certificate(problem: &LpProblem, sol: &Solution) -> Option<LpCertificate> {
     let claimed_bound = match sol.status {
         SolveStatus::Optimal => sol.objective,
         SolveStatus::BudgetExceeded { best_bound } => best_bound,
         SolveStatus::Infeasible => infeasible_claim(problem.direction),
         SolveStatus::Unbounded => return None,
     };
-    let leaves = collector
-        .leaves
-        .into_iter()
-        .map(|leaf| BranchLeaf {
-            fixes: leaf.fixes,
-            proof: match leaf.proof {
-                LeafProof::Bound { duals } => LeafProof::Bound {
-                    duals: oriented_duals(problem, &duals),
-                },
-                LeafProof::Farkas { ray } => LeafProof::Farkas {
-                    ray: oriented_ray(problem, &ray),
-                },
-            },
-        })
-        .collect();
+    let proof = match sol.proof.as_ref()? {
+        LpProof::Bound { duals } => LpProof::Bound {
+            duals: oriented_duals(problem, duals),
+        },
+        LpProof::Farkas { ray } => LpProof::Farkas {
+            ray: oriented_ray(problem, ray),
+        },
+        LpProof::Branch { leaves } => LpProof::Branch {
+            leaves: leaves
+                .iter()
+                .map(|leaf| BranchLeaf {
+                    fixes: leaf.fixes.clone(),
+                    proof: match &leaf.proof {
+                        LeafProof::Bound { duals } => LeafProof::Bound {
+                            duals: oriented_duals(problem, duals),
+                        },
+                        LeafProof::Farkas { ray } => LeafProof::Farkas {
+                            ray: oriented_ray(problem, ray),
+                        },
+                    },
+                })
+                .collect(),
+        },
+    };
     Some(LpCertificate {
         problem: problem_cert(problem),
         claimed_bound,
-        proof: LpProof::Branch { leaves },
+        proof,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use crate::{
-        BasisCache, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SimplexOptions,
-        SolveStatus,
+        BasisCache, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus,
     };
-    use raven_check::{check_certificate, Certificate, LpCertificate};
+    use raven_check::{check_certificate, Certificate, LpCertificate, LpProof};
 
     fn wrap(lp: LpCertificate) -> Certificate {
         Certificate {
@@ -225,11 +182,9 @@ mod tests {
             Direction::Maximize,
             LinExpr::new().term(1.0, x).term(1.0, y),
         );
-        let (sol, cert) = p
-            .solve_certified(&SimplexOptions::default(), &Budget::unlimited())
-            .unwrap();
+        let sol = p.solve().unwrap();
         assert!(sol.is_optimal());
-        let cert = cert.expect("optimal LP must certify");
+        let cert = p.certificate(&sol).expect("optimal LP must certify");
         let report = check_certificate(&wrap(cert)).expect("replay must accept");
         assert!(report.lp_checked);
         assert!((report.exact_bound.unwrap() - 2.8).abs() < 1e-6);
@@ -250,10 +205,11 @@ mod tests {
             status: SolveStatus::Optimal,
             objective: 1.0,
             values: vec![1.0],
-            duals: vec![1.0, -3.0e-16],
-            farkas: Vec::new(),
+            proof: Some(LpProof::Bound {
+                duals: vec![1.0, -3.0e-16],
+            }),
         };
-        let cert = super::bound_certificate(&p, &sol).expect("optimal solution must certify");
+        let cert = p.certificate(&sol).expect("optimal solution must certify");
         let report = check_certificate(&wrap(cert)).expect("noise dual must be sanitized away");
         assert!(report.lp_checked);
         assert!((report.exact_bound.unwrap() - 1.0).abs() < 1e-9);
@@ -267,12 +223,13 @@ mod tests {
         let y = p.add_var(0.0, 1.0);
         p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Ge, 5.0);
         p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, x));
-        let (sol, cert) = p
-            .solve_certified(&SimplexOptions::default(), &Budget::unlimited())
-            .unwrap();
+        let sol = p.solve().unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
-        assert!(!sol.farkas.is_empty(), "simplex must surface the ray");
-        let cert = cert.expect("infeasible LP must certify");
+        assert!(
+            matches!(sol.proof, Some(LpProof::Farkas { .. })),
+            "simplex must surface the ray"
+        );
+        let cert = p.certificate(&sol).expect("infeasible LP must certify");
         let report = check_certificate(&wrap(cert)).expect("farkas replay must accept");
         assert!(report.exact_bound.is_none());
     }
@@ -296,15 +253,9 @@ mod tests {
     #[test]
     fn milp_branch_certificate_replays() {
         let p = knapsack();
-        let (sol, cert) = p
-            .solve_milp_certified(
-                &MilpOptions::default(),
-                &Budget::unlimited(),
-                &mut BasisCache::new(),
-            )
-            .unwrap();
+        let sol = p.solve_milp().unwrap();
         assert!(sol.is_optimal());
-        let cert = cert.expect("complete B&B must certify");
+        let cert = p.certificate(&sol).expect("complete B&B must certify");
         let report = check_certificate(&wrap(cert)).expect("branch replay must accept");
         assert!(report.leaves > 1, "knapsack must branch");
         assert!((report.claimed_bound.unwrap() - sol.objective).abs() < 1e-9);
@@ -318,15 +269,17 @@ mod tests {
             max_nodes: 3,
             ..MilpOptions::default()
         };
-        let (sol, cert) = p
-            .solve_milp_certified(&opts, &Budget::unlimited(), &mut BasisCache::new())
+        let sol = p
+            .solve_milp_cached(&opts, &Budget::unlimited(), &mut BasisCache::new())
             .unwrap();
         let SolveStatus::BudgetExceeded { best_bound } = sol.status else {
             panic!("expected BudgetExceeded, got {:?}", sol.status);
         };
         assert!(best_bound >= exact - 1e-9);
         // Root explored (3 nodes > 1), so open nodes carry parent duals.
-        let cert = cert.expect("anytime exit past the root must certify");
+        let cert = p
+            .certificate(&sol)
+            .expect("anytime exit past the root must certify");
         let report = check_certificate(&wrap(cert)).expect("anytime replay must accept");
         assert!((report.claimed_bound.unwrap() - best_bound).abs() < 1e-9);
     }
@@ -340,15 +293,9 @@ mod tests {
         let y = p.add_binary_var();
         p.add_constraint(LinExpr::new().term(1.0, x).term(1.0, y), Sense::Ge, 3.0);
         p.set_objective(Direction::Maximize, LinExpr::new().term(1.0, x));
-        let (sol, cert) = p
-            .solve_milp_certified(
-                &MilpOptions::default(),
-                &Budget::unlimited(),
-                &mut BasisCache::new(),
-            )
-            .unwrap();
+        let sol = p.solve_milp().unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
-        let cert = cert.expect("infeasible MILP must certify");
+        let cert = p.certificate(&sol).expect("infeasible MILP must certify");
         let report = check_certificate(&wrap(cert)).expect("replay must accept");
         assert!(report.exact_bound.is_none());
     }
@@ -356,14 +303,8 @@ mod tests {
     #[test]
     fn tampered_branch_certificate_is_rejected() {
         let p = knapsack();
-        let (_, cert) = p
-            .solve_milp_certified(
-                &MilpOptions::default(),
-                &Budget::unlimited(),
-                &mut BasisCache::new(),
-            )
-            .unwrap();
-        let mut cert = cert.unwrap();
+        let sol = p.solve_milp().unwrap();
+        let mut cert = p.certificate(&sol).unwrap();
         // Claiming a tighter bound than the tree proves must be rejected.
         cert.claimed_bound -= 1.0;
         assert!(check_certificate(&wrap(cert)).is_err());

@@ -6,6 +6,12 @@
 //! branch-and-bound wrapper for the handful of binary specification
 //! variables the encodings introduce ([`LpProblem::solve_milp`]).
 //!
+//! Every solve returns its own proof on the [`Solution`]: the optimal
+//! duals or a Farkas ray of an LP, the leaf proofs of a branch-and-bound
+//! tree. [`LpProblem::certificate`] packages that proof into a
+//! certificate the exact checker in `raven-check` replays, so asking for
+//! one costs no second solve.
+//!
 //! # Examples
 //!
 //! ```

@@ -9,26 +9,27 @@
 //! Every node solves the caller's rows exactly as built, under its
 //! branch's bound fixes, so all nodes share one row/variable layout: a
 //! child warm-starts from its parent's optimal basis, and a node's duals
-//! and Farkas rays index the caller's rows directly. Certified mode
-//! ([`LpProblem::solve_milp_certified`](crate::LpProblem::solve_milp_certified))
-//! therefore runs the very search a plain solve runs and only records
-//! each disposed node's proof on the way.
+//! and Farkas rays index the caller's rows directly. The search therefore
+//! records each disposed node's proof as it goes, and the tree of leaf
+//! proofs is the returned solution's [`proof`](crate::Solution::proof),
+//! which [`LpProblem::certificate`](crate::LpProblem::certificate)
+//! packages on request.
 
-use crate::certificate::BranchCollector;
 use crate::simplex::{Basis, BasisCache, Matrix};
 use crate::{Budget, LpError, LpProblem, SimplexOptions, Solution, SolveStatus};
-use raven_check::LeafProof;
+use raven_check::{BranchLeaf, LeafProof, LpProof};
 use std::rc::Rc;
 
-/// Options for [`LpProblem::solve_milp_with`].
+/// Integrality tolerance: a value within this of an integer is integral.
+const INT_TOL: f64 = 1e-6;
+
+/// Options for [`LpProblem::solve_milp_cached`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MilpOptions {
     /// LP options used at every node.
     pub simplex: SimplexOptions,
     /// Hard limit on explored nodes.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub int_tol: f64,
     /// Warm-start each node's relaxation from its parent's optimal basis
     /// with the dual simplex (bound changes keep the parent basis
     /// dual-feasible). Purely an accelerator: stale bases fall back to a
@@ -41,7 +42,6 @@ impl Default for MilpOptions {
         Self {
             simplex: SimplexOptions::default(),
             max_nodes: 10_000,
-            int_tol: 1e-6,
             warm_start: true,
         }
     }
@@ -57,18 +57,50 @@ struct Node {
     /// Closest ancestor's optimal basis, shared across siblings; the dual
     /// simplex starts from it when warm starts are on.
     warm: Option<Rc<Basis>>,
-    /// Parent relaxation's row duals, kept only in certified runs: a node
-    /// still open when the budget dies becomes a certificate leaf whose
-    /// bound is proved by its parent's duals (dual feasibility does not
-    /// depend on the variable box, so the parent's multipliers bound every
-    /// sub-box too). `None` at the root — a root left open is uncertifiable.
+    /// Parent relaxation's row duals, shared across siblings: a node still
+    /// open when the budget dies becomes a leaf whose bound is proved by
+    /// its parent's duals (dual feasibility does not depend on the variable
+    /// box, so the parent's multipliers bound every sub-box too). `None` at
+    /// the root — a root left open has no proof.
     duals: Option<Rc<Vec<f64>>>,
+}
+
+/// The leaf proofs of a search so far, in the order its nodes were
+/// disposed of; `None` once some node had no proof, which leaves the
+/// whole tree without one. Empty-box prunes add nothing — the checker
+/// proves those subtrees integer-empty on its own.
+type Leaves = Option<Vec<BranchLeaf>>;
+
+/// Records the leaf at `fixes` proved by `proof` (an optimal relaxation's
+/// duals or an infeasible one's Farkas ray); a missing or branch-shaped
+/// proof leaves the tree without one.
+fn record(leaves: &mut Leaves, fixes: &[(usize, f64, f64)], proof: Option<LpProof>) {
+    let proof = match proof {
+        Some(LpProof::Bound { duals }) => LeafProof::Bound { duals },
+        Some(LpProof::Farkas { ray }) => LeafProof::Farkas { ray },
+        _ => {
+            *leaves = None;
+            return;
+        }
+    };
+    if let Some(l) = leaves {
+        l.push(BranchLeaf {
+            fixes: fixes.to_vec(),
+            proof,
+        });
+    }
 }
 
 /// The anytime result when budget or node limit stops the search: the
 /// sound dual bound is the optimistic-direction extreme over the incumbent
-/// and every open node's parent relaxation bound.
-fn anytime_solution(minimize: bool, stack: &[Node], incumbent: &Option<Solution>) -> Solution {
+/// and every open node's parent relaxation bound. Every still-open node
+/// joins `leaves`, proved by its parent's duals (see [`Node::duals`]).
+fn anytime_solution(
+    minimize: bool,
+    stack: &[Node],
+    incumbent: &Option<Solution>,
+    mut leaves: Leaves,
+) -> Solution {
     crate::metrics::MILP_BUDGET_EXHAUSTED.inc();
     // Mark the exhaustion in the owning request's trace (when one is
     // installed on this thread): a degraded verdict's trace then shows
@@ -97,6 +129,10 @@ fn anytime_solution(minimize: bool, stack: &[Node], incumbent: &Option<Solution>
         } else {
             bound.max(node.bound)
         };
+        let proof = node.duals.as_ref().map(|d| LpProof::Bound {
+            duals: (**d).clone(),
+        });
+        record(&mut leaves, &node.fixes, proof);
     }
     Solution {
         status: SolveStatus::BudgetExceeded { best_bound: bound },
@@ -105,62 +141,22 @@ fn anytime_solution(minimize: bool, stack: &[Node], incumbent: &Option<Solution>
             .as_ref()
             .map(|s| s.values.clone())
             .unwrap_or_default(),
-        duals: Vec::new(),
-        farkas: Vec::new(),
-    }
-}
-
-/// Converts every still-open node into a certificate leaf proved by its
-/// parent's duals (see [`Node::duals`]); an open root has no parent proof
-/// and makes the run uncertifiable.
-fn drain_open_nodes(collector: &mut BranchCollector, stack: &[Node]) {
-    for node in stack {
-        match &node.duals {
-            Some(d) => collector.leaf(
-                &node.fixes,
-                LeafProof::Bound {
-                    duals: (**d).clone(),
-                },
-            ),
-            None => collector.uncertifiable = true,
-        }
+        proof: leaves.map(|leaves| LpProof::Branch { leaves }),
     }
 }
 
 /// Solves `problem` by LP-based branch & bound over its integer variables.
+/// The root relaxation seeds from `cache` and the final root basis is
+/// stored back, so a sequence of related MILPs (for example the per-label
+/// encodings that share one relaxation) warm-start each other. The search
+/// is the same whether or not its proof is ever packaged: every node
+/// solves the rows exactly as the caller built them, so the leaf proofs
+/// line up with the rows a certificate records.
 pub(crate) fn solve(
     problem: &LpProblem,
     opts: &MilpOptions,
     budget: &Budget<'_>,
-) -> Result<Solution, LpError> {
-    solve_with_cache(problem, opts, budget, &mut BasisCache::new())
-}
-
-/// [`solve`] plus a caller-held [`BasisCache`]: the root relaxation seeds
-/// from the cache and the final root basis is stored back, so a sequence
-/// of related MILPs (for example the per-label encodings that share one
-/// relaxation) warm-start each other.
-pub(crate) fn solve_with_cache(
-    problem: &LpProblem,
-    opts: &MilpOptions,
-    budget: &Budget<'_>,
     cache: &mut BasisCache,
-) -> Result<Solution, LpError> {
-    solve_collecting(problem, opts, budget, cache, None)
-}
-
-/// [`solve_with_cache`] plus an optional certificate collector. A `Some`
-/// collector switches the run to *certified mode*: every disposed node
-/// contributes a leaf proof. The search itself is the same either side of
-/// the flag — same nodes, same pivots, same bound — since every node
-/// solves the rows exactly as the caller built them, so the proof's duals
-/// line up with the rows the certificate records.
-pub(crate) fn solve_collecting(
-    problem: &LpProblem,
-    opts: &MilpOptions,
-    budget: &Budget<'_>,
-    cache: &mut BasisCache,
-    mut collector: Option<&mut BranchCollector>,
 ) -> Result<Solution, LpError> {
     let int_vars: Vec<usize> = problem
         .integer
@@ -168,26 +164,12 @@ pub(crate) fn solve_collecting(
         .enumerate()
         .filter_map(|(i, &b)| b.then_some(i))
         .collect();
+    let mut leaves: Leaves = Some(Vec::new());
     if int_vars.is_empty() {
-        let sol = problem.solve_with_budget(&opts.simplex, budget)?;
-        if let Some(c) = collector {
-            // No branching happened: the whole "tree" is one root leaf.
-            match sol.status {
-                SolveStatus::Optimal if sol.duals.len() == problem.rows.len() => c.leaf(
-                    &[],
-                    LeafProof::Bound {
-                        duals: sol.duals.clone(),
-                    },
-                ),
-                SolveStatus::Infeasible if sol.farkas.len() == problem.rows.len() => c.leaf(
-                    &[],
-                    LeafProof::Farkas {
-                        ray: sol.farkas.clone(),
-                    },
-                ),
-                _ => c.uncertifiable = true,
-            }
-        }
+        // No branching happens: the whole tree is one root leaf.
+        let mut sol = problem.solve_with_budget(&opts.simplex, budget)?;
+        record(&mut leaves, &[], sol.proof.take());
+        sol.proof = leaves.map(|leaves| LpProof::Branch { leaves });
         return Ok(sol);
     }
     let minimize = matches!(problem.direction, crate::Direction::Minimize);
@@ -217,10 +199,7 @@ pub(crate) fn solve_collecting(
         // instead of discarding everything already explored.
         if nodes >= opts.max_nodes || budget.exhausted() {
             stack.push(node);
-            if let Some(c) = collector.as_deref_mut() {
-                drain_open_nodes(c, &stack);
-            }
-            return Ok(anytime_solution(minimize, &stack, &incumbent));
+            return Ok(anytime_solution(minimize, &stack, &incumbent, leaves));
         }
         nodes += 1;
         crate::metrics::MILP_NODES.inc();
@@ -261,27 +240,13 @@ pub(crate) fn solve_collecting(
                 // The budget died inside this node's relaxation: the node
                 // is unexplored, so fold it back under its parent bound.
                 stack.push(node);
-                if let Some(c) = collector.as_deref_mut() {
-                    drain_open_nodes(c, &stack);
-                }
-                return Ok(anytime_solution(minimize, &stack, &incumbent));
+                return Ok(anytime_solution(minimize, &stack, &incumbent, leaves));
             }
             Err(e) => return Err(e),
         };
         match relax.status {
             SolveStatus::Infeasible => {
-                if let Some(c) = collector.as_deref_mut() {
-                    if relax.farkas.len() == work.rows.len() && !relax.farkas.is_empty() {
-                        c.leaf(
-                            &node.fixes,
-                            LeafProof::Farkas {
-                                ray: relax.farkas.clone(),
-                            },
-                        );
-                    } else {
-                        c.uncertifiable = true;
-                    }
-                }
+                record(&mut leaves, &node.fixes, relax.proof);
                 crate::metrics::MILP_NODES_PRUNED.inc();
                 continue;
             }
@@ -292,10 +257,8 @@ pub(crate) fn solve_collecting(
                 // domain sideways, never add directions), so the MILP's
                 // objective is unbounded or its constraints infeasible —
                 // either way, pruning the node as "infeasible" would
-                // under-report a maximization bound.
-                if let Some(c) = collector.as_deref_mut() {
-                    c.uncertifiable = true;
-                }
+                // under-report a maximization bound. An unbounded
+                // relaxation carries no proof.
                 return Ok(relax);
             }
             SolveStatus::Optimal => {}
@@ -304,10 +267,7 @@ pub(crate) fn solve_collecting(
             // handled above); treat it like exhaustion defensively.
             SolveStatus::BudgetExceeded { .. } => {
                 stack.push(node);
-                if let Some(c) = collector.as_deref_mut() {
-                    drain_open_nodes(c, &stack);
-                }
-                return Ok(anytime_solution(minimize, &stack, &incumbent));
+                return Ok(anytime_solution(minimize, &stack, &incumbent, leaves));
             }
         }
         // Remember the root's optimal basis for the caller's next related
@@ -329,24 +289,17 @@ pub(crate) fn solve_collecting(
                 relax.objective <= best.objective + 1e-9
             };
             if worse {
-                // Certified mode: a bound-pruned node is a leaf; its own
-                // optimal duals prove its relaxation objective, which the
-                // final incumbent dominates.
-                if let Some(c) = collector.as_deref_mut() {
-                    c.leaf(
-                        &node.fixes,
-                        LeafProof::Bound {
-                            duals: relax.duals.clone(),
-                        },
-                    );
-                }
+                // A bound-pruned node is a leaf: its own optimal duals
+                // prove its relaxation objective, which the final
+                // incumbent dominates.
+                record(&mut leaves, &node.fixes, relax.proof);
                 crate::metrics::MILP_NODES_PRUNED.inc();
                 continue;
             }
         }
         // Find the most fractional integer variable.
         let mut branch_var = None;
-        let mut best_frac = opts.int_tol;
+        let mut best_frac = INT_TOL;
         for &v in &int_vars {
             let x = relax.values[v];
             let frac = (x - x.round()).abs();
@@ -357,16 +310,9 @@ pub(crate) fn solve_collecting(
         }
         match branch_var {
             None => {
-                // Certified mode: an integral node is a leaf proved by its
-                // own duals whether or not it improves the incumbent.
-                if let Some(c) = collector.as_deref_mut() {
-                    c.leaf(
-                        &node.fixes,
-                        LeafProof::Bound {
-                            duals: relax.duals.clone(),
-                        },
-                    );
-                }
+                // An integral node is a leaf proved by its own duals
+                // whether or not it improves the incumbent.
+                record(&mut leaves, &node.fixes, relax.proof.take());
                 // Integral: candidate incumbent.
                 let better = match &incumbent {
                     None => true,
@@ -394,11 +340,12 @@ pub(crate) fn solve_collecting(
                 // their sound bound (restricting the feasible set can only
                 // worsen the optimum).
                 let bound = relax.objective;
-                // Certified mode: children also inherit this node's duals,
-                // the proof of record should they be cut off open.
-                let child_duals = collector
-                    .is_some()
-                    .then(|| Rc::new(std::mem::take(&mut relax.duals)));
+                // Children also inherit this node's duals, the proof of
+                // record should they be cut off open.
+                let child_duals = match relax.proof {
+                    Some(LpProof::Bound { duals }) => Some(Rc::new(duals)),
+                    _ => None,
+                };
                 // Explore the side nearest the fractional value first.
                 let up = Node {
                     fixes: up,
@@ -422,18 +369,21 @@ pub(crate) fn solve_collecting(
             }
         }
     }
-    Ok(incumbent.unwrap_or(Solution {
+    let mut sol = incumbent.unwrap_or(Solution {
         status: SolveStatus::Infeasible,
         objective: 0.0,
         values: Vec::new(),
-        duals: Vec::new(),
-        farkas: Vec::new(),
-    }))
+        proof: None,
+    });
+    sol.proof = leaves.map(|leaves| LpProof::Branch { leaves });
+    Ok(sol)
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus};
+    use crate::{
+        BasisCache, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus,
+    };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
 
@@ -513,7 +463,9 @@ mod tests {
             max_nodes: 1,
             ..MilpOptions::default()
         };
-        let sol = p.solve_milp_with(&opts).unwrap();
+        let sol = p
+            .solve_milp_cached(&opts, &Budget::unlimited(), &mut BasisCache::new())
+            .unwrap();
         let SolveStatus::BudgetExceeded { best_bound } = sol.status else {
             panic!("expected BudgetExceeded, got {:?}", sol.status);
         };
@@ -533,7 +485,7 @@ mod tests {
         let budget = Budget::default().with_deadline(Instant::now() - Duration::from_millis(1));
         let start = Instant::now();
         let sol = p
-            .solve_milp_with_budget(&MilpOptions::default(), &budget)
+            .solve_milp_cached(&MilpOptions::default(), &budget, &mut BasisCache::new())
             .unwrap();
         assert!(
             start.elapsed() < Duration::from_millis(500),
@@ -576,7 +528,7 @@ mod tests {
         let exact = p.solve_milp().unwrap();
         let budget = Budget::default().with_deadline_in(Duration::from_secs(60));
         let budgeted = p
-            .solve_milp_with_budget(&MilpOptions::default(), &budget)
+            .solve_milp_cached(&MilpOptions::default(), &budget, &mut BasisCache::new())
             .unwrap();
         assert!(budgeted.is_optimal());
         assert!((budgeted.objective - exact.objective).abs() < 1e-9);
@@ -587,10 +539,14 @@ mod tests {
         let p = knapsack();
         let warm = p.solve_milp().unwrap();
         let cold = p
-            .solve_milp_with(&MilpOptions {
-                warm_start: false,
-                ..MilpOptions::default()
-            })
+            .solve_milp_cached(
+                &MilpOptions {
+                    warm_start: false,
+                    ..MilpOptions::default()
+                },
+                &Budget::unlimited(),
+                &mut BasisCache::new(),
+            )
             .unwrap();
         assert_eq!(warm.status, cold.status);
         assert!(

@@ -26,7 +26,8 @@
 //!
 //! There is no presolve: the tableau holds the caller's rows exactly as
 //! built, so duals and Farkas multipliers index those rows one to one and
-//! every solve can be certified as it stands. (The relational encoder
+//! every solution's [`proof`](crate::Solution::proof) can be certified as
+//! it stands. (The relational encoder
 //! writes rows with a constant right side as variable bounds, which is
 //! where a presolve would have found its singleton rows.) A cold [`solve`]
 //! is [`solve_reuse`] without a warm basis.
@@ -53,12 +54,17 @@ mod lu;
 
 use crate::{Budget, Direction, LpError, LpProblem, Sense, Solution, SolveStatus};
 use lu::{Column, Factor};
+use raven_check::LpProof;
+
+/// Feasibility/optimality tolerance.
+const TOL: f64 = 1e-7;
+
+/// Consecutive degenerate pivots before switching to Bland's rule.
+const STALL_THRESHOLD: usize = 60;
 
 /// Tunable parameters for the simplex solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimplexOptions {
-    /// Feasibility/optimality tolerance.
-    pub tol: f64,
     /// Hard iteration limit (per phase).
     pub max_iters: usize,
     /// Refactorize the basis every this many pivots: the LU factors are
@@ -66,17 +72,13 @@ pub struct SimplexOptions {
     /// dropped. Every eta costs each later FTRAN and BTRAN a pass over an
     /// entering column's image, so the file is kept short.
     pub refactor_every: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub stall_threshold: usize,
 }
 
 impl Default for SimplexOptions {
     fn default() -> Self {
         Self {
-            tol: 1e-7,
             max_iters: 50_000,
             refactor_every: 16,
-            stall_threshold: 60,
         }
     }
 }
@@ -481,7 +483,6 @@ impl<'a> Tableau<'a> {
     /// for this phase. Bland mode returns the lowest-index eligible
     /// variable.
     fn price(&self, y: &[f64], phase: Phase, bland: bool) -> Option<(usize, f64)> {
-        let tol = self.opts.tol;
         let mut best: Option<(usize, f64, f64)> = None;
         for j in 0..self.n_total {
             if matches!(self.state[j], VarState::Basic(_)) {
@@ -500,17 +501,17 @@ impl<'a> Tableau<'a> {
             };
             let d = self.reduced_cost(j, y, phase);
             let (eligible, dir) = if dir == 0.0 {
-                if d < -tol {
+                if d < -TOL {
                     (true, 1.0)
-                } else if d > tol {
+                } else if d > TOL {
                     (true, -1.0)
                 } else {
                     (false, 0.0)
                 }
             } else if dir > 0.0 {
-                (d < -tol, 1.0)
+                (d < -TOL, 1.0)
             } else {
-                (d > tol, -1.0)
+                (d > TOL, -1.0)
             };
             if !eligible {
                 continue;
@@ -550,7 +551,7 @@ impl<'a> Tableau<'a> {
     ) -> Result<(f64, Option<usize>), ()> {
         let own = self.upper[j] - self.lower[j];
         let own = if own.is_finite() { own } else { f64::INFINITY };
-        let relax = if bland { 0.0 } else { self.opts.tol };
+        let relax = if bland { 0.0 } else { TOL };
         // Pass 1: relaxed minimum step.
         let mut t_relaxed = own;
         for (i, &wi) in w.iter().enumerate() {
@@ -666,7 +667,7 @@ impl<'a> Tableau<'a> {
             if self.pivots_since_refactor >= self.opts.refactor_every {
                 self.refactorize()?;
             }
-            let bland = self.stall_count >= self.opts.stall_threshold;
+            let bland = self.stall_count >= STALL_THRESHOLD;
             let y = self.multipliers(phase);
             let Some((j, dir)) = self.price(&y, phase, bland) else {
                 return Ok(SolveStatus::Optimal);
@@ -735,7 +736,7 @@ impl<'a> Tableau<'a> {
                 _ => return Err(LpError::SingularBasis),
             }
             self.recompute_basics();
-            if self.phase_objective(Phase::One) > self.opts.tol * 10.0 {
+            if self.phase_objective(Phase::One) > TOL * 10.0 {
                 return Ok(SolveStatus::Infeasible);
             }
             // Pin the artificials to zero for phase 2.
@@ -847,7 +848,7 @@ impl<'a> Tableau<'a> {
         if !self.basis.iter().any(|&v| v >= self.n_slack_end) {
             return;
         }
-        let tol = self.opts.tol * 10.0;
+        let tol = TOL * 10.0;
         let y = self.multipliers(Phase::Two);
         for r in 0..self.m {
             let leaving = self.basis[r];
@@ -905,7 +906,7 @@ impl<'a> Tableau<'a> {
     /// Whether every nonbasic reduced cost has the sign optimality
     /// requires — the invariant the dual simplex maintains.
     fn dual_feasible(&self) -> bool {
-        let tol = self.opts.tol * 10.0;
+        let tol = TOL * 10.0;
         let y = self.multipliers(Phase::Two);
         for j in 0..self.n_slack_end {
             if matches!(self.state[j], VarState::Basic(_)) {
@@ -932,7 +933,7 @@ impl<'a> Tableau<'a> {
     /// Whether every basic value sits within its bounds (nonbasics are at
     /// bounds by construction).
     fn primal_feasible(&self) -> bool {
-        let tol = self.opts.tol * 10.0;
+        let tol = TOL * 10.0;
         self.basis
             .iter()
             .all(|&v| self.x[v] >= self.lower[v] - tol && self.x[v] <= self.upper[v] + tol)
@@ -945,7 +946,6 @@ impl<'a> Tableau<'a> {
     /// optimal.
     fn run_dual(&mut self) -> Result<DualOutcome, LpError> {
         self.stall_count = 0;
-        let tol = self.opts.tol;
         let mut alpha = vec![0.0; self.n_slack_end];
         // The multipliers are computed afresh with every factorization and
         // updated along the pivot row in between.
@@ -965,12 +965,12 @@ impl<'a> Tableau<'a> {
             let mut leave: Option<(usize, f64, bool)> = None;
             for (i, &var) in self.basis.iter().enumerate() {
                 let v = self.x[var];
-                if v > self.upper[var] + tol {
+                if v > self.upper[var] + TOL {
                     let viol = v - self.upper[var];
                     if leave.is_none_or(|(_, bv, _)| viol > bv) {
                         leave = Some((i, viol, true));
                     }
-                } else if v < self.lower[var] - tol {
+                } else if v < self.lower[var] - TOL {
                     let viol = self.lower[var] - v;
                     if leave.is_none_or(|(_, bv, _)| viol > bv) {
                         leave = Some((i, viol, false));
@@ -980,7 +980,7 @@ impl<'a> Tableau<'a> {
             let Some((r, _, above)) = leave else {
                 return Ok(DualOutcome::PrimalFeasible);
             };
-            if self.stall_count >= self.opts.stall_threshold {
+            if self.stall_count >= STALL_THRESHOLD {
                 // Degenerate loop: hand the node to the cold solver rather
                 // than risk cycling.
                 return Ok(DualOutcome::Stalled);
@@ -1169,13 +1169,13 @@ fn empty_solution(status: SolveStatus) -> Solution {
         status,
         objective: 0.0,
         values: Vec::new(),
-        duals: Vec::new(),
-        farkas: Vec::new(),
+        proof: None,
     }
 }
 
-/// Extracts the solution, its duals and the optimal basis (for warm
-/// starting a related solve) from a tableau whose run ended with `status`.
+/// Extracts the solution, its proof (the optimal duals or a Farkas ray)
+/// and the optimal basis (for warm starting a related solve) from a
+/// tableau whose run ended with `status`.
 fn finish_tableau(
     mut tableau: Tableau<'_>,
     problem: &LpProblem,
@@ -1205,8 +1205,7 @@ fn finish_tableau(
                 status,
                 objective: tableau.objective_value(problem),
                 values: tableau.x[..tableau.n_struct].to_vec(),
-                duals,
-                farkas: Vec::new(),
+                proof: Some(LpProof::Bound { duals }),
             };
             (sol, basis)
         }
@@ -1221,7 +1220,7 @@ fn finish_tableau(
             // violation means the multipliers do not certify anything, so
             // emit none rather than a bogus ray.
             let y = tableau.multipliers(Phase::One);
-            let tol = tableau.opts.tol * 100.0;
+            let tol = TOL * 100.0;
             let mut farkas = Vec::with_capacity(y.len());
             let mut usable = y.len() == problem.rows.len();
             for (row, &yi) in problem.rows.iter().zip(&y) {
@@ -1240,7 +1239,7 @@ fn finish_tableau(
             }
             let mut sol = empty_solution(status);
             if usable {
-                sol.farkas = farkas;
+                sol.proof = Some(LpProof::Farkas { ray: farkas });
             }
             (sol, None)
         }
@@ -1352,13 +1351,7 @@ fn solve_box_only(problem: &LpProblem) -> Solution {
             continue;
         };
         if !target.is_finite() {
-            return Solution {
-                status: SolveStatus::Unbounded,
-                objective: 0.0,
-                values: Vec::new(),
-                duals: Vec::new(),
-                farkas: Vec::new(),
-            };
+            return empty_solution(SolveStatus::Unbounded);
         }
         x[v.0] = target;
     }
@@ -1367,8 +1360,8 @@ fn solve_box_only(problem: &LpProblem) -> Solution {
         status: SolveStatus::Optimal,
         objective: obj,
         values: x,
-        duals: Vec::new(),
-        farkas: Vec::new(),
+        // With no rows, the variable box alone proves the bound.
+        proof: Some(LpProof::Bound { duals: Vec::new() }),
     }
 }
 
@@ -1507,10 +1500,20 @@ mod tests {
         assert_eq!(sol.objective, 6.0);
     }
 
+    /// The row duals an optimal solve proves its bound with.
+    fn duals(sol: &Solution) -> &[f64] {
+        match &sol.proof {
+            Some(LpProof::Bound { duals }) => duals,
+            other => panic!("no dual proof: {other:?}"),
+        }
+    }
+
     #[test]
     fn duals_match_the_textbook_example() {
         // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18: the classic
-        // Dantzig example with known shadow prices (0, 3/2, 1).
+        // Dantzig example with known shadow prices (0, 3/2, 1). Rows 1
+        // and 2 are singletons, and every shadow price is reported at its
+        // row's own index.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, f64::INFINITY);
         let y = p.add_var(0.0, f64::INFINITY);
@@ -1518,67 +1521,31 @@ mod tests {
         p.add_constraint(expr(&[(y, 2.0)]), Sense::Le, 12.0);
         p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
         p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let opts = SimplexOptions::default();
-        let sol = p.solve_with(&opts).unwrap();
-        assert_eq!(sol.duals.len(), 3);
-        assert!(sol.duals[0].abs() < 1e-7, "{:?}", sol.duals);
-        assert!((sol.duals[1] - 1.5).abs() < 1e-7, "{:?}", sol.duals);
-        assert!((sol.duals[2] - 1.0).abs() < 1e-7, "{:?}", sol.duals);
+        let sol = p.solve().unwrap();
+        let d = duals(&sol);
+        assert_eq!(d.len(), 3, "duals must align with original rows");
+        assert!(d[0].abs() < 1e-7, "{d:?}");
+        assert!((d[1] - 1.5).abs() < 1e-7, "{d:?}");
+        assert!((d[2] - 1.0).abs() < 1e-7, "{d:?}");
         // Strong duality: b·y equals the optimum for this standard-form LP.
-        let by = 4.0 * sol.duals[0] + 12.0 * sol.duals[1] + 18.0 * sol.duals[2];
+        let by = 4.0 * d[0] + 12.0 * d[1] + 18.0 * d[2];
         assert!((by - sol.objective).abs() < 1e-6);
     }
 
     #[test]
     fn minimization_duals_have_user_orientation() {
         // min 2x s.t. x ≥ 3 → optimum 6; raising the rhs by 1 raises the
-        // optimum by 2 → dual = +2.
-        let mut p = LpProblem::new();
-        let x = p.add_var(0.0, f64::INFINITY);
-        p.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 3.0);
-        p.set_objective(Direction::Minimize, expr(&[(x, 2.0)]));
-        let opts = SimplexOptions::default();
-        let sol = p.solve_with(&opts).unwrap();
-        assert!((sol.objective - 6.0).abs() < 1e-7);
-        assert_eq!(sol.duals.len(), 1);
-        assert!((sol.duals[0] - 2.0).abs() < 1e-7, "{:?}", sol.duals);
-    }
-
-    #[test]
-    fn singleton_rows_keep_their_duals_with_default_options() {
-        // Same Dantzig example through `solve()`: rows 1 and 2 are
-        // singletons, and all three shadow prices are reported at the
-        // rows' own indices.
-        let mut p = LpProblem::new();
-        let x = p.add_var(0.0, f64::INFINITY);
-        let y = p.add_var(0.0, f64::INFINITY);
-        p.add_constraint(expr(&[(x, 1.0)]), Sense::Le, 4.0);
-        p.add_constraint(expr(&[(y, 2.0)]), Sense::Le, 12.0);
-        p.add_constraint(expr(&[(x, 3.0), (y, 2.0)]), Sense::Le, 18.0);
-        p.set_objective(Direction::Maximize, expr(&[(x, 3.0), (y, 5.0)]));
-        let sol = p.solve().unwrap();
-        assert!(sol.is_optimal());
-        assert_eq!(sol.duals.len(), 3, "duals must align with original rows");
-        assert!(sol.duals[0].abs() < 1e-6, "{:?}", sol.duals);
-        assert!((sol.duals[1] - 1.5).abs() < 1e-6, "{:?}", sol.duals);
-        assert!((sol.duals[2] - 1.0).abs() < 1e-6, "{:?}", sol.duals);
-        let by = 4.0 * sol.duals[0] + 12.0 * sol.duals[1] + 18.0 * sol.duals[2];
-        assert!((by - sol.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn one_row_problems_report_their_dual() {
-        // min 2x s.t. x ≥ 3: the only row is a singleton, and its dual
-        // (+2) is reported against it.
+        // optimum by 2 → dual = +2, reported against the only row, a
+        // singleton.
         let mut p = LpProblem::new();
         let x = p.add_var(0.0, f64::INFINITY);
         p.add_constraint(expr(&[(x, 1.0)]), Sense::Ge, 3.0);
         p.set_objective(Direction::Minimize, expr(&[(x, 2.0)]));
         let sol = p.solve().unwrap();
-        assert!(sol.is_optimal());
         assert!((sol.objective - 6.0).abs() < 1e-7);
-        assert_eq!(sol.duals.len(), 1);
-        assert!((sol.duals[0] - 2.0).abs() < 1e-6, "{:?}", sol.duals);
+        let d = duals(&sol);
+        assert_eq!(d.len(), 1);
+        assert!((d[0] - 2.0).abs() < 1e-7, "{d:?}");
     }
 
     #[test]
@@ -1592,10 +1559,10 @@ mod tests {
         p.add_constraint(expr(&[(x, 1.0), (y, 1.0)]), Sense::Le, 1.5);
         p.set_objective(Direction::Maximize, expr(&[(x, 1.0), (y, 1.0)]));
         let sol = p.solve().unwrap();
-        assert!(sol.is_optimal());
-        assert_eq!(sol.duals.len(), 2);
-        assert!(sol.duals[0].abs() < 1e-6, "{:?}", sol.duals);
-        assert!((sol.duals[1] - 1.0).abs() < 1e-6, "{:?}", sol.duals);
+        let d = duals(&sol);
+        assert_eq!(d.len(), 2);
+        assert!(d[0].abs() < 1e-6, "{d:?}");
+        assert!((d[1] - 1.0).abs() < 1e-6, "{d:?}");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! the armed faults cannot leak into the library's parallel unit tests,
 //! and serialize themselves behind a mutex within this binary.
 
-use raven_lp::{chaos, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus};
+use raven_lp::{
+    chaos, BasisCache, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SolveStatus,
+};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -59,7 +61,9 @@ fn forced_unbounded_child_relaxation_propagates_unbounded() {
             };
             // Skip the root solve so the fault fires on a child node.
             chaos::set_force_unbounded_after(1);
-            let sol = p.solve_milp_with(&opts).expect("milp completes");
+            let sol = p
+                .solve_milp_cached(&opts, &Budget::unlimited(), &mut BasisCache::new())
+                .expect("milp completes");
             assert_eq!(
                 sol.status,
                 SolveStatus::Unbounded,
@@ -93,7 +97,7 @@ fn budget_expiry_mid_dual_pivot_yields_sound_anytime_bound() {
         chaos::set_pivot_stall_micros(20_000);
         let budget = Budget::default().with_deadline(Instant::now() + Duration::from_millis(60));
         let sol = p
-            .solve_milp_with_budget(&MilpOptions::default(), &budget)
+            .solve_milp_cached(&MilpOptions::default(), &budget, &mut BasisCache::new())
             .expect("budget expiry is an anytime result, not an error");
         match sol.status {
             SolveStatus::BudgetExceeded { best_bound } => {

@@ -6,7 +6,11 @@
 //! Driven by the workspace's deterministic [`Rng`] so the suite builds
 //! offline and replays identically on every run.
 
-use raven_lp::{Direction, LinExpr, LpProblem, MilpOptions, Sense, SimplexOptions, SolveStatus};
+use raven_check::LpProof;
+use raven_lp::{
+    BasisCache, Budget, Direction, LinExpr, LpProblem, MilpOptions, Sense, SimplexOptions,
+    SolveStatus,
+};
 use raven_tensor::Rng;
 
 const CASES: usize = 64;
@@ -184,8 +188,12 @@ fn warm_started_milp_matches_cold_start() {
         let obj: LinExpr = vars.iter().zip(&values).map(|(&v, &c)| (v, c)).collect();
         p.set_objective(Direction::Maximize, obj);
 
-        let w = p.solve_milp_with(&warm).expect("warm milp solves");
-        let c = p.solve_milp_with(&cold).expect("cold milp solves");
+        let w = p
+            .solve_milp_cached(&warm, &Budget::unlimited(), &mut BasisCache::new())
+            .expect("warm milp solves");
+        let c = p
+            .solve_milp_cached(&cold, &Budget::unlimited(), &mut BasisCache::new())
+            .expect("cold milp solves");
         assert_eq!(w.status, c.status);
         assert_eq!(w.status, SolveStatus::Optimal);
         assert!(
@@ -232,7 +240,9 @@ fn refactorizing_every_pivot_matches_the_default_cadence() {
         let obj: LinExpr = vars.iter().map(|&v| (v, rng.in_range(-2.0, 2.0))).collect();
         p.set_objective(Direction::Maximize, obj);
 
-        let a = p.solve_with(&every).expect("refactor-every-pivot solve");
+        let a = p
+            .solve_with_budget(&every, &Budget::unlimited())
+            .expect("refactor-every-pivot solve");
         let b = p.solve().expect("default solve");
         assert_eq!(a.status, b.status);
         if a.status == SolveStatus::Optimal {
@@ -402,8 +412,14 @@ fn build_nn(lp: &NnLp) -> LpProblem {
 fn assert_dual_feasible(lp: &NnLp, sol: &raven_lp::Solution) {
     const TOL: f64 = 1e-6;
     let s = if lp.maximize { -1.0 } else { 1.0 };
-    assert_eq!(sol.duals.len(), lp.rows.len());
-    let y: Vec<f64> = sol.duals.iter().map(|&v| s * v).collect();
+    let Some(LpProof::Bound { duals }) = &sol.proof else {
+        panic!(
+            "an optimal solve proves its bound with duals: {:?}",
+            sol.proof
+        );
+    };
+    assert_eq!(duals.len(), lp.rows.len());
+    let y: Vec<f64> = duals.iter().map(|&v| s * v).collect();
     let mut d = vec![0.0; lp.bounds.len()];
     for &(v, c) in &lp.objective {
         d[v] += s * c;
@@ -463,7 +479,9 @@ fn nn_shaped_lps_agree_across_refactorization_cadences() {
         );
         let p = build_nn(&lp);
         let a = p.solve().expect("default solve");
-        let b = p.solve_with(&every).expect("refactor-every-pivot solve");
+        let b = p
+            .solve_with_budget(&every, &Budget::unlimited())
+            .expect("refactor-every-pivot solve");
         assert_eq!(a.status, SolveStatus::Optimal);
         assert_eq!(a.status, b.status);
         assert!(
@@ -515,9 +533,11 @@ fn nn_shaped_milps_agree_across_cadences_and_warm_starts() {
         let p = build_nn(&lp);
         let w = p.solve_milp().expect("default milp");
         let e = p
-            .solve_milp_with(&every)
+            .solve_milp_cached(&every, &Budget::unlimited(), &mut BasisCache::new())
             .expect("refactor-every-pivot milp");
-        let c = p.solve_milp_with(&cold).expect("cold milp");
+        let c = p
+            .solve_milp_cached(&cold, &Budget::unlimited(), &mut BasisCache::new())
+            .expect("cold milp");
         assert_eq!(w.status, SolveStatus::Optimal);
         for (name, other) in [("every pivot", &e), ("cold", &c)] {
             assert_eq!(w.status, other.status, "{name}");

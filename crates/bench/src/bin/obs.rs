@@ -22,10 +22,11 @@
 //! Usage: `cargo run -p raven-bench --release --bin obs -- [--out FILE]
 //! [--threads n] [--check BASELINE]` (default output `BENCH_obs.json`;
 //! `--help` lists the flags).
-//! With `--check`, the freshly measured pivot total (primal + dual) and
-//! the DeepPoly relaxed-neuron count (one per activation neuron per
-//! DeepPoly pass) are compared against the committed baseline, and the
-//! process exits non-zero when either grows by more than 20% — wired into
+//! With `--check`, the freshly measured pivot total (primal + dual), the
+//! branch-and-bound node count and the DeepPoly relaxed-neuron count (one
+//! per activation neuron per DeepPoly pass) are compared against the
+//! committed baseline, and the process exits non-zero when any grows by
+//! more than 20% — wired into
 //! `scripts/tier1.sh`. The baseline is read before the workload runs: a
 //! missing or malformed file exits 1 at once.
 
@@ -48,7 +49,7 @@ const OUT: Flag = Flag::valued(
 const CHECK: Flag = Flag::valued(
     "--check",
     "BASELINE",
-    "exit 1 when total pivots or DeepPoly relaxed neurons exceed the baseline's by over 20%",
+    "exit 1 when total pivots, B&B nodes or DeepPoly relaxed neurons exceed the baseline's by over 20%",
 );
 const OBS: Command = Command {
     name: "obs",
@@ -66,6 +67,7 @@ fn counters() -> Vec<(&'static str, &'static Counter)> {
         ("simplex_pivots", &lp_m::SIMPLEX_PIVOTS),
         ("lp_dual_pivots", &lp_m::LP_DUAL_PIVOTS),
         ("lp_warm_starts", &lp_m::LP_WARM_STARTS),
+        ("lp_crash_starts", &lp_m::LP_CRASH_STARTS),
         ("lp_refactorizations", &lp_m::LP_REFACTORIZATIONS),
         ("lp_solves", &lp_m::LP_SOLVES),
         ("milp_nodes", &lp_m::MILP_NODES),
@@ -100,14 +102,15 @@ fn counter(report: &Json, key: &str) -> f64 {
 }
 
 /// The work the gate checks, by name: total simplex work (primal pivots
-/// plus dual warm-start pivots), and DeepPoly work (activation neurons
-/// relaxed, which counts the passes).
-fn gated_work(report: &Json) -> [(&'static str, f64); 2] {
+/// plus dual warm-start pivots), branch-and-bound nodes, and DeepPoly work
+/// (activation neurons relaxed, which counts the passes).
+fn gated_work(report: &Json) -> [(&'static str, f64); 3] {
     [
         (
             "total pivots",
             counter(report, "simplex_pivots") + counter(report, "lp_dual_pivots"),
         ),
+        ("milp nodes", counter(report, "milp_nodes")),
         (
             "deeppoly relaxed neurons",
             counter(report, "deeppoly_relaxed_neurons"),

@@ -264,6 +264,7 @@ fn print_stats() {
         lp_m::LP_WARM_STARTS.get(),
         lp_m::LP_DUAL_PIVOTS.get()
     );
+    eprintln!("crash starts       : {}", lp_m::LP_CRASH_STARTS.get());
     eprintln!(
         "lp solves          : {} ({:.1} ms total)",
         lp_m::LP_SOLVES.get(),

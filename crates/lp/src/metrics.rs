@@ -17,9 +17,14 @@ pub static LP_SOLVES: Counter = Counter::new();
 pub static LP_SOLVE_SECONDS: Histogram = Histogram::new();
 /// LP solves aborted by deadline/cancel (no sound partial bound).
 pub static LP_BUDGET_EXHAUSTED: Counter = Counter::new();
-/// LP solves that accepted a warm-start basis (dual- or primal-feasible
-/// seed) instead of a two-phase cold start.
+/// LP solves that a warm-start basis (a branch-and-bound parent's or a
+/// cached one) finished. A warm attempt that goes stale and falls back to
+/// a cold start is not counted.
 pub static LP_WARM_STARTS: Counter = Counter::new();
+/// Cold LP solves that a crash basis finished in phase 2 alone. Solves
+/// from the all-slack start are `LP_SOLVES` minus these and
+/// `LP_WARM_STARTS`.
+pub static LP_CRASH_STARTS: Counter = Counter::new();
 /// Dual-simplex pivot iterations (warm-started solves only; cold-start
 /// pivots are counted by `SIMPLEX_PIVOTS`).
 pub static LP_DUAL_PIVOTS: Counter = Counter::new();
@@ -39,7 +44,7 @@ pub static MILP_INCUMBENT_UPDATES: Counter = Counter::new();
 pub static MILP_BUDGET_EXHAUSTED: Counter = Counter::new();
 
 /// Exposition table for this crate, in stable scrape order.
-pub static DESCS: [Desc; 11] = [
+pub static DESCS: [Desc; 12] = [
     Desc {
         name: "raven_lp_simplex_pivots_total",
         help: "Simplex pivot iterations across all LP solves.",
@@ -66,9 +71,15 @@ pub static DESCS: [Desc; 11] = [
     },
     Desc {
         name: "raven_lp_warm_starts_total",
-        help: "LP solves that accepted a warm-start basis instead of a cold start.",
+        help: "LP solves that a warm-start basis finished.",
         labels: "",
         metric: MetricRef::Counter(&LP_WARM_STARTS),
+    },
+    Desc {
+        name: "raven_lp_crash_starts_total",
+        help: "Cold LP solves that a crash basis finished without phase 1.",
+        labels: "",
+        metric: MetricRef::Counter(&LP_CRASH_STARTS),
     },
     Desc {
         name: "raven_lp_dual_pivots_total",

@@ -17,8 +17,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Public docs must not link to private or deleted items.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 scripts/check_metrics.sh
-# Solver-work regression gate: rerun the fixed obs workload and fail on a
-# >20% total-pivot regression vs the committed baseline. The committed
+# Solver-work regression gate: rerun the fixed obs workload and fail when
+# total pivots, B&B nodes or DeepPoly relaxed neurons grow by >20% vs the
+# committed baseline. The committed
 # BENCH_obs.json is only refreshed deliberately (run obs with --out).
 cargo run -p raven-bench --release --bin obs -- --out /tmp/raven_bench_obs.json \
   --check BENCH_obs.json

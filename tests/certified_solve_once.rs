@@ -5,8 +5,9 @@
 //! `raven_lp::metrics` work counters advance by exactly what the same
 //! uncertified run advances them by, and the certificate's claimed bound,
 //! clamped the way the verdict clamps it, is the verdict's bound bit for
-//! bit. Covered on the UAP spec MILP, the UAP LP tier (`spec_milp: false`)
-//! and monotonicity.
+//! bit. Covered on the UAP spec MILP at an ε where branch & bound
+//! branches (so warm-started children and pruned leaves are part of the
+//! compared work), the UAP LP tier (`spec_milp: false`) and monotonicity.
 //!
 //! This binary holds a single test so that no other test moves the
 //! counters while it measures.
@@ -60,19 +61,23 @@ fn certified_runs_solve_once_and_claim_the_verdict_bound() {
     let inputs: Vec<Vec<f64>> = (0..4)
         .map(|_| (0..6).map(|_| rng.in_range(0.0, 1.0)).collect())
         .collect();
-    let uap = UapProblem {
-        plan: plan.clone(),
-        labels: inputs.iter().map(|z| net.classify(z)).collect(),
-        inputs,
-        eps: 0.15,
-    };
+    let labels: Vec<usize> = inputs.iter().map(|z| net.classify(z)).collect();
     let hooks = RunHooks::default();
     let milp = RavenConfig::default();
     let lp = RavenConfig {
         spec_milp: false,
         ..RavenConfig::default()
     };
-    for (case, config, tier) in [("uap milp", &milp, Tier::Milp), ("uap lp", &lp, Tier::Lp)] {
+    for (case, config, eps, tier) in [
+        ("uap milp", &milp, 0.2, Tier::Milp),
+        ("uap lp", &lp, 0.15, Tier::Lp),
+    ] {
+        let uap = UapProblem {
+            plan: plan.clone(),
+            inputs: inputs.clone(),
+            labels: labels.clone(),
+            eps,
+        };
         let run = |certify| {
             measured(|| {
                 verify_uap_with_hooks(&uap, Method::Raven, config, &hooks, certify)
@@ -83,6 +88,9 @@ fn certified_runs_solve_once_and_claim_the_verdict_bound() {
         let ((res, cert), certified_work) = run(true);
         assert_eq!(res.tier, tier, "{case}");
         assert!(plain_work[0] > 0, "{case}: the verdict solves");
+        if tier == Tier::Milp {
+            assert!(plain_work[1] > 1, "{case}: the search branches");
+        }
         assert_eq!(certified_work, plain_work, "{case}: solver work");
         assert_eq!(
             uap_verdict_json(uap.k(), uap.eps, &res).to_string(),

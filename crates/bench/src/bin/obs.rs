@@ -66,6 +66,7 @@ fn counters() -> Vec<(&'static str, &'static Counter)> {
     vec![
         ("simplex_pivots", &lp_m::SIMPLEX_PIVOTS),
         ("lp_dual_pivots", &lp_m::LP_DUAL_PIVOTS),
+        ("lp_dual_bound_flips", &lp_m::LP_DUAL_BOUND_FLIPS),
         ("lp_warm_starts", &lp_m::LP_WARM_STARTS),
         ("lp_crash_starts", &lp_m::LP_CRASH_STARTS),
         ("lp_refactorizations", &lp_m::LP_REFACTORIZATIONS),

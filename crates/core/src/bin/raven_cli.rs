@@ -260,9 +260,10 @@ fn print_stats() {
     eprintln!("--- run stats ---------------------------------");
     eprintln!("simplex pivots     : {}", lp_m::SIMPLEX_PIVOTS.get());
     eprintln!(
-        "warm starts        : {} ({} dual pivots)",
+        "warm starts        : {} ({} dual pivots, {} bound flips)",
         lp_m::LP_WARM_STARTS.get(),
-        lp_m::LP_DUAL_PIVOTS.get()
+        lp_m::LP_DUAL_PIVOTS.get(),
+        lp_m::LP_DUAL_BOUND_FLIPS.get()
     );
     eprintln!("crash starts       : {}", lp_m::LP_CRASH_STARTS.get());
     eprintln!(

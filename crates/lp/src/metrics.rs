@@ -28,6 +28,9 @@ pub static LP_CRASH_STARTS: Counter = Counter::new();
 /// Dual-simplex pivot iterations (warm-started solves only; cold-start
 /// pivots are counted by `SIMPLEX_PIVOTS`).
 pub static LP_DUAL_PIVOTS: Counter = Counter::new();
+/// Nonbasic columns the dual ratio test moved to their other bound instead
+/// of pivoting on them (breakpoints passed by a bound-flipping step).
+pub static LP_DUAL_BOUND_FLIPS: Counter = Counter::new();
 /// Basis factorizations rebuilt from scratch: every warm-start seed, the
 /// periodic refactorization of long solves, and the one that reads off an
 /// optimum after pivots.
@@ -44,7 +47,7 @@ pub static MILP_INCUMBENT_UPDATES: Counter = Counter::new();
 pub static MILP_BUDGET_EXHAUSTED: Counter = Counter::new();
 
 /// Exposition table for this crate, in stable scrape order.
-pub static DESCS: [Desc; 12] = [
+pub static DESCS: [Desc; 13] = [
     Desc {
         name: "raven_lp_simplex_pivots_total",
         help: "Simplex pivot iterations across all LP solves.",
@@ -86,6 +89,13 @@ pub static DESCS: [Desc; 12] = [
         help: "Dual-simplex pivot iterations across warm-started LP solves.",
         labels: "",
         metric: MetricRef::Counter(&LP_DUAL_PIVOTS),
+    },
+    Desc {
+        name: "raven_lp_dual_bound_flips_total",
+        help:
+            "Nonbasic columns the dual ratio test flipped to their other bound instead of pivoting.",
+        labels: "",
+        metric: MetricRef::Counter(&LP_DUAL_BOUND_FLIPS),
     },
     Desc {
         name: "raven_lp_refactorizations_total",

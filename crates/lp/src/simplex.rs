@@ -11,10 +11,11 @@
 //! vectors, so Bland's anti-cycling rule applies verbatim when degeneracy
 //! stalls progress.
 //!
-//! A cold solve whose all-slack start would need an artificial first tries
-//! a **crash basis** ([`crash_basis`]): each row makes its newest
-//! continuous variable basic at the value that makes it tight, so on the
-//! relational encoder's rows the start is a concrete run of the network.
+//! A solve without a usable warm basis whose all-slack start would need an
+//! artificial first tries a **crash basis** ([`crash_basis`]): each row
+//! makes its newest continuous variable basic at the value that makes it
+//! tight, so on the relational encoder's rows the start is a concrete run
+//! of the network.
 //! When that basis is primal feasible the solve runs phase 2 alone; when
 //! it is not, or does not factor, the all-slack start above takes over.
 //! The crash only picks the starting basis: every solve ends on the same
@@ -48,16 +49,20 @@
 //! leave every reduced cost untouched, so the parent's optimal basis stays
 //! *dual*-feasible in the child and a bounded-variable **dual simplex**
 //! ([`Tableau::run_dual`]) restores primal feasibility in a handful of
-//! pivots instead of a full two-phase cold start. [`solve_reuse`] drives
-//! this: it seeds the tableau from a caller-supplied [`Basis`], runs the
-//! dual simplex when the basis is dual-feasible (or primal phase 2 alone
-//! when it is primal-feasible, the common case when rows were *appended*),
-//! and falls back to a cold start whenever the basis is stale — so results
-//! are always certified by the same optimality test as a cold solve, and
-//! warm starting can never change a verdict. Every node reads the same
-//! [`Matrix`], built once per branch-and-bound run; the pivot row needed by
-//! the dual ratio test is assembled from its rows rather than by scanning
-//! columns.
+//! pivots instead of a full two-phase cold start. Its ratio test flips
+//! boxed nonbasics to their other bound rather than pivoting on each one:
+//! every breakpoint the dual step can pass while the leaving row still
+//! needs repair costs a bound flip, and only the last one a pivot.
+//! [`solve_reuse`] drives this: it seeds the tableau from a caller-supplied
+//! [`Basis`], runs the dual simplex when the basis is dual-feasible (or
+//! primal phase 2 alone when it is primal-feasible, the common case when
+//! rows were *appended*), and whenever the basis is unusable or stale takes
+//! the cold start a solve without one takes (crash basis included) — so
+//! results are always certified by the same optimality test as a cold
+//! solve, and warm starting can never change a verdict. Every node reads
+//! the same [`Matrix`], built once per branch-and-bound run; the pivot row
+//! needed by the dual ratio test is assembled from its rows rather than by
+//! scanning columns.
 
 mod lu;
 
@@ -948,14 +953,46 @@ impl<'a> Tableau<'a> {
             .all(|&v| self.x[v] >= self.lower[v] - tol && self.x[v] <= self.upper[v] + tol)
     }
 
+    /// Moves each nonbasic column of `cols` to its other (finite) bound and
+    /// updates the basics along with it: `x_B −= B⁻¹ Σ a_j Δx_j`, one FTRAN
+    /// for the whole set.
+    fn flip(&mut self, cols: impl Iterator<Item = usize>) {
+        let mut moved = vec![0.0; self.m];
+        for j in cols {
+            let (state, to) = match self.state[j] {
+                VarState::NbLower => (VarState::NbUpper, self.upper[j]),
+                _ => (VarState::NbLower, self.lower[j]),
+            };
+            let step = to - self.x[j];
+            self.state[j] = state;
+            self.x[j] = to;
+            for &(i, a) in self.col(j) {
+                moved[i] += a * step;
+            }
+        }
+        let dx = self.factor.ftran(&mut moved);
+        for (&var, d) in self.basis.iter().zip(dx) {
+            self.x[var] -= d;
+        }
+    }
+
     /// Bounded-variable dual simplex: starting from a dual-feasible basis,
     /// repairs primal bound violations one leaving variable at a time while
     /// keeping every reduced cost correctly signed. Converges in a few
     /// pivots when only variable bounds changed since the basis was
     /// optimal.
+    ///
+    /// The ratio test is bound-flipping ("long-step"): a boxed nonbasic
+    /// whose breakpoint the dual step can pass without undoing the
+    /// leaving row's repair moves to its other bound instead of entering,
+    /// so one pivot crosses every such breakpoint. Branch & bound's LPs
+    /// are nearly all boxed (each δ lies in [−ε, ε], DeepPoly bounds
+    /// every neuron), which is where this saves most of the pivots.
     fn run_dual(&mut self) -> Result<DualOutcome, LpError> {
         self.stall_count = 0;
         let mut alpha = vec![0.0; self.n_slack_end];
+        // Entering candidates `(column, ratio, |alpha|, reduced cost)`.
+        let mut cands: Vec<(usize, f64, f64, f64)> = Vec::new();
         // The multipliers are computed afresh with every factorization and
         // updated along the pivot row in between.
         let mut y = self.multipliers(Phase::Two);
@@ -986,7 +1023,7 @@ impl<'a> Tableau<'a> {
                     }
                 }
             }
-            let Some((r, _, above)) = leave else {
+            let Some((r, viol, above)) = leave else {
                 return Ok(DualOutcome::PrimalFeasible);
             };
             if self.stall_count >= STALL_THRESHOLD {
@@ -1008,12 +1045,12 @@ impl<'a> Tableau<'a> {
                 alpha[self.n_struct + i] += ri;
             }
             let sigma = if above { 1.0 } else { -1.0 };
-            // Entering variable: dual ratio test. Eligibility keeps the
-            // entering step's primal direction consistent with removing the
-            // violation; the min ratio |d/alpha| keeps every other reduced
-            // cost correctly signed after the pivot. Ties prefer the
-            // largest pivot magnitude for stability.
-            let mut best: Option<(usize, f64, f64, f64)> = None;
+            // Entering variable: bound-flipping dual ratio test. Eligibility
+            // keeps each candidate's primal direction consistent with
+            // removing the violation; the candidates are the breakpoints
+            // |d/alpha| of the dual step, in increasing order (ties prefer
+            // the largest pivot magnitude for stability).
+            cands.clear();
             for (j, &aj) in alpha.iter().enumerate() {
                 if matches!(self.state[j], VarState::Basic(_)) {
                     continue;
@@ -1031,24 +1068,42 @@ impl<'a> Tableau<'a> {
                 let d = self.reduced_cost(j, &y, Phase::Two);
                 // Dual feasibility bounds d's sign; clamp the tolerance
                 // residue so ratios stay non-negative.
-                let ratio = (d / a).max(0.0);
-                let better = match best {
-                    None => true,
-                    Some((_, br, ba, _)) => {
-                        ratio < br - 1e-12 || (ratio <= br + 1e-12 && a.abs() > ba)
-                    }
-                };
-                if better {
-                    best = Some((j, ratio, a.abs(), d));
-                }
+                cands.push((j, (d / a).max(0.0), a.abs(), d));
             }
-            let Some((j, _, _, d)) = best else {
-                // Dual unbounded ⇒ primal infeasible. The caller re-proves
-                // this with a cold phase-1 run before trusting it: a false
-                // infeasible here (tolerance artifact) would unsoundly
-                // prune a branch-and-bound node.
-                return Ok(DualOutcome::Infeasible);
+            cands.sort_unstable_by(|p, q| {
+                p.1.total_cmp(&q.1)
+                    .then(q.2.total_cmp(&p.2))
+                    .then(p.0.cmp(&q.0))
+            });
+            // Walk the breakpoints. The dual objective rises with slope
+            // `viol` at first; passing breakpoint j takes |alpha_j|·(u_j −
+            // l_j) off it, and j flips to its other bound, where its
+            // reduced cost (now of the opposite sign) is dual feasible. The
+            // first breakpoint that would make the slope non-positive
+            // enters. One with an infinite bound can never be passed.
+            let mut slope = viol;
+            let mut passed = 0;
+            let (j, d) = loop {
+                let Some(&(j, _, abs_a, d)) = cands.get(passed) else {
+                    // Every breakpoint passed with the slope still positive,
+                    // or none at all: flipping every candidate cannot repair
+                    // the row, so the primal is infeasible. The caller
+                    // re-proves this with a cold solve before trusting it: a
+                    // false infeasible here (tolerance artifact) would
+                    // unsoundly prune a branch-and-bound node.
+                    return Ok(DualOutcome::Infeasible);
+                };
+                let range = self.upper[j] - self.lower[j];
+                if !range.is_finite() || slope - abs_a * range <= TOL {
+                    break (j, d);
+                }
+                slope -= abs_a * range;
+                passed += 1;
             };
+            if passed > 0 {
+                crate::metrics::LP_DUAL_BOUND_FLIPS.add(passed as u64);
+                self.flip(cands[..passed].iter().map(|c| c.0));
+            }
             let w = self.ftran(j);
             let piv = w[r];
             if piv.abs() < 1e-10 {
@@ -1120,8 +1175,9 @@ enum DualOutcome {
     /// All basics back within bounds: the point is primal- and
     /// dual-feasible, i.e. optimal up to the final pricing pass.
     PrimalFeasible,
-    /// No entering column: the dual is unbounded, the primal infeasible
-    /// (subject to cold confirmation).
+    /// No entering column, or every candidate's bound flip together still
+    /// leaves the row violated: the dual is unbounded, the primal
+    /// infeasible (subject to cold confirmation).
     Infeasible,
     /// Degenerate stall; the basis is not making progress.
     Stalled,
@@ -1359,11 +1415,12 @@ pub(crate) fn solve(
 /// rows it built.
 ///
 /// A warm basis is a pure accelerator: when it is dual- or primal-feasible
-/// the solve finishes in few pivots, and in every other case (stale,
-/// singular, stalled, dual-detected infeasibility) the function re-runs the
-/// ordinary cold start, so the result carries exactly the same certificate
-/// as a cold [`solve`]. Without a warm basis, a primal-feasible crash basis
-/// ([`crash_basis`]) seeds phase 2 in the same way.
+/// the solve finishes in few pivots, and in every other case (unusable,
+/// stale, singular, stalled, dual-detected infeasibility) the function
+/// takes the cold start a solve without a warm basis takes, so the result
+/// carries exactly the same certificate as a cold [`solve`]. The cold start
+/// is the all-slack tableau, or a primal-feasible crash basis
+/// ([`crash_basis`]) when the all-slack start would need phase 1.
 ///
 /// # Errors
 ///
@@ -1386,41 +1443,43 @@ pub(crate) fn solve_reuse(
     if problem.rows.is_empty() {
         return Ok((solve_box_only(problem), None));
     }
-    // A warm basis seeds the tableau. Without one, a primal-feasible crash
-    // basis does when the all-slack start needs phase 1, and runs phase 2
-    // alone.
-    let mut cold = None;
-    let seeded = match warm {
-        Some(basis) => Tableau::with_basis(problem, a, opts, budget, basis)
-            .map(|mut tab| (tab.warm_run(), tab, &crate::metrics::LP_WARM_STARTS)),
-        None => Some(cold.insert(Tableau::new(problem, a, opts, budget)))
-            .filter(|slack| slack.n_total > slack.n_slack_end)
-            .and_then(|_| Tableau::with_basis(problem, a, opts, budget, &crash_basis(problem, a)))
-            .filter(Tableau::primal_feasible)
-            .map(|mut tab| {
-                let run = tab.run_phase(Phase::Two).map(WarmOutcome::Solved);
-                (run, tab, &crate::metrics::LP_CRASH_STARTS)
-            }),
-    };
-    if let Some((run, tab, started)) = seeded {
-        match run {
-            Ok(WarmOutcome::Solved(status)) => {
-                started.inc();
+    // The warm basis goes first. Without one, or when it fails, the solve
+    // takes the cold start: the all-slack tableau, which a primal-feasible
+    // crash basis replaces when that tableau needs phase 1.
+    if let Some(basis) = warm {
+        if let Some(mut tab) = Tableau::with_basis(problem, a, opts, budget, basis) {
+            if let Some(status) = settled(tab.warm_run())? {
+                crate::metrics::LP_WARM_STARTS.inc();
                 return Ok(finish_tableau(tab, problem, status));
             }
-            // Stale basis (including dual-detected infeasibility, which
-            // the cold phase-1 run below re-proves before it is trusted):
-            // fall through to the cold start.
-            Ok(WarmOutcome::Stale) => {}
-            Err(LpError::BudgetExceeded) => return Err(LpError::BudgetExceeded),
-            // Numerical breakdown mid-seeded-run (singular basis, iteration
-            // limit): the cold start below is the retry.
-            Err(_) => {}
         }
     }
-    let mut tableau = cold.unwrap_or_else(|| Tableau::new(problem, a, opts, budget));
-    let status = tableau.run()?;
-    Ok(finish_tableau(tableau, problem, status))
+    let mut slack = Tableau::new(problem, a, opts, budget);
+    if slack.n_total > slack.n_slack_end {
+        let crash = Tableau::with_basis(problem, a, opts, budget, &crash_basis(problem, a));
+        if let Some(mut tab) = crash.filter(Tableau::primal_feasible) {
+            if let Some(status) = settled(tab.run_phase(Phase::Two).map(WarmOutcome::Solved))? {
+                crate::metrics::LP_CRASH_STARTS.inc();
+                return Ok(finish_tableau(tab, problem, status));
+            }
+        }
+    }
+    let status = slack.run()?;
+    Ok(finish_tableau(slack, problem, status))
+}
+
+/// What a seeded run (a warm or a crash start) settled: its status, or
+/// `None` when the cold start must take over. That is the case for a stale
+/// basis (including a dual-detected infeasibility, which the cold run
+/// re-proves before it is trusted) and for a numerical breakdown (singular
+/// basis, iteration limit). An exhausted budget leaves no time for a retry.
+fn settled(run: Result<WarmOutcome, LpError>) -> Result<Option<SolveStatus>, LpError> {
+    match run {
+        Ok(WarmOutcome::Solved(status)) => Ok(Some(status)),
+        Ok(WarmOutcome::Stale) => Ok(None),
+        Err(LpError::BudgetExceeded) => Err(LpError::BudgetExceeded),
+        Err(_) => Ok(None),
+    }
 }
 
 /// Optimizes a problem with no constraints: each variable independently
@@ -1818,6 +1877,155 @@ mod tests {
         p.bounds[1] = (1.0, 1.0); // x + y = 2 > 1: infeasible
         let (warm, _) = reuse(&p, &opts, &budget, Some(&basis)).unwrap();
         assert_eq!(warm.status, SolveStatus::Infeasible);
+    }
+
+    mod bound_flips {
+        use super::*;
+
+        /// `min Σ c_j x_j` over `x_j ∈ [0, u_j]`, with `z = Σ x_j` and the
+        /// given bounds on `z`. With `z ≥ 0` the optimum is `x = 0`, whose
+        /// basis keeps the row's slack basic and `z` at its lower bound.
+        fn fan(c: &[f64], u: &[f64], z_bounds: (f64, f64)) -> LpProblem {
+            let mut p = LpProblem::new();
+            let xs: Vec<_> = u.iter().map(|&hi| p.add_var(0.0, hi)).collect();
+            let z = p.add_var(z_bounds.0, z_bounds.1);
+            let row = xs
+                .iter()
+                .fold(LinExpr::new().term(1.0, z), |row, &x| row.term(-1.0, x));
+            p.add_constraint(row, Sense::Eq, 0.0);
+            let cost: Vec<_> = xs.iter().copied().zip(c.iter().copied()).collect();
+            p.set_objective(Direction::Minimize, expr(&cost));
+            p
+        }
+
+        /// The optimal basis of `parent`, solved cold.
+        fn parent_basis(parent: &LpProblem) -> Basis {
+            let (sol, basis) = reuse(
+                parent,
+                &SimplexOptions::default(),
+                &Budget::unlimited(),
+                None,
+            )
+            .expect("parent solve");
+            assert!(sol.is_optimal());
+            basis.expect("an optimal parent yields a basis")
+        }
+
+        /// Runs the dual simplex on `child` from `warm`, asserts the basic
+        /// values it leaves are the ones its basis gives, and returns the
+        /// tableau with the outcome.
+        fn dual<'a>(
+            child: &LpProblem,
+            a: &'a Matrix,
+            opts: &'a SimplexOptions,
+            budget: &'a Budget<'a>,
+            warm: &Basis,
+        ) -> (Tableau<'a>, DualOutcome) {
+            let mut tab = Tableau::with_basis(child, a, opts, budget, warm).expect("basis factors");
+            assert!(tab.dual_feasible(), "a bound change keeps dual feasibility");
+            let outcome = tab.run_dual().expect("dual simplex");
+            if matches!(outcome, DualOutcome::PrimalFeasible) {
+                let kept = tab.x.clone();
+                tab.recompute_basics();
+                for (j, (&was, &is)) in kept.iter().zip(&tab.x).enumerate() {
+                    assert!(
+                        (was - is).abs() < 1e-9,
+                        "x[{j}] = {was}, its basis gives {is}"
+                    );
+                }
+            }
+            (tab, outcome)
+        }
+
+        #[test]
+        fn one_pivot_passes_every_breakpoint_the_violation_allows() {
+            // Raising z ≥ 3.5 leaves the slack basic at −3.5. The cheapest
+            // repairs are x1, x2, x3 (one unit each, 3 of the 3.5), so the
+            // first dual iteration passes those three breakpoints, flips
+            // them to 1 and enters x4 at 0.5: one pivot, not four.
+            let c = [1.0, 2.0, 3.0, 4.0];
+            let warm = parent_basis(&fan(&c, &[1.0; 4], (0.0, 10.0)));
+            let child = fan(&c, &[1.0; 4], (3.5, 10.0));
+            let a = Matrix::new(&child);
+            let (opts, budget) = (SimplexOptions::default(), Budget::unlimited());
+            let (mut tab, outcome) = dual(&child, &a, &opts, &budget, &warm);
+            assert!(matches!(outcome, DualOutcome::PrimalFeasible));
+            for j in 0..3 {
+                assert_eq!(tab.state[j], VarState::NbUpper, "x{} not flipped", j + 1);
+                assert_eq!(tab.x[j], 1.0);
+            }
+            assert!(matches!(tab.state[3], VarState::Basic(_)), "x4 must enter");
+            assert!((tab.x[3] - 0.5).abs() < 1e-9, "x4 = {}", tab.x[3]);
+            assert_eq!(tab.pivots_since_refactor, 1, "one pivot crosses them all");
+            // The warm optimum and its duals are the cold solve's.
+            let status = tab.run_phase(Phase::Two).expect("phase 2");
+            let (warm_sol, _) = finish_tableau(tab, &child, status);
+            let cold = all_slack(&child);
+            assert!(warm_sol.is_optimal() && cold.is_optimal());
+            assert!(
+                (warm_sol.objective - 8.0).abs() < 1e-6,
+                "{}",
+                warm_sol.objective
+            );
+            assert!((warm_sol.objective - cold.objective).abs() < 1e-6);
+            for (w, c) in duals(&warm_sol).iter().zip(duals(&cold)) {
+                assert!((w - c).abs() < 1e-6, "dual {w} vs cold {c}");
+            }
+            let (reused, _) = reuse(&child, &opts, &budget, Some(&warm)).unwrap();
+            assert_eq!(reused, warm_sol, "solve_reuse takes the same path");
+        }
+
+        #[test]
+        fn a_half_bounded_breakpoint_enters_instead_of_flipping() {
+            // w ∈ [0, ∞) at cost 1.5 sits between x1 (cost 1) and x2: x1 is
+            // passed, and w, which has no other bound to flip to, enters
+            // at 2 for the 2 units z ≥ 3 still lacks.
+            let child = fan(
+                &[1.0, 2.0, 3.0, 1.5],
+                &[1.0, 1.0, 1.0, f64::INFINITY],
+                (3.0, 10.0),
+            );
+            let warm = {
+                let mut parent = child.clone();
+                parent.bounds[4] = (0.0, 10.0);
+                parent_basis(&parent)
+            };
+            let a = Matrix::new(&child);
+            let (opts, budget) = (SimplexOptions::default(), Budget::unlimited());
+            let (tab, outcome) = dual(&child, &a, &opts, &budget, &warm);
+            assert!(matches!(outcome, DualOutcome::PrimalFeasible));
+            assert_eq!(tab.state[0], VarState::NbUpper, "x1 not flipped");
+            assert!(matches!(tab.state[3], VarState::Basic(_)), "w must enter");
+            assert!((tab.x[3] - 2.0).abs() < 1e-9, "w = {}", tab.x[3]);
+            let (reused, _) = reuse(&child, &opts, &budget, Some(&warm)).unwrap();
+            assert!(
+                (reused.objective - 4.0).abs() < 1e-6,
+                "{}",
+                reused.objective
+            );
+            assert!(child.is_feasible(&reused.values, 1e-6));
+        }
+
+        #[test]
+        fn a_row_no_flip_can_repair_is_infeasible_and_reproved_cold() {
+            // z ≥ 5, but the four x's can add up to 4 at most: the walk
+            // passes every breakpoint with the slope still positive.
+            let c = [1.0, 2.0, 3.0, 4.0];
+            let warm = parent_basis(&fan(&c, &[1.0; 4], (0.0, 10.0)));
+            let child = fan(&c, &[1.0; 4], (5.0, 10.0));
+            let a = Matrix::new(&child);
+            let (opts, budget) = (SimplexOptions::default(), Budget::unlimited());
+            let (_, outcome) = dual(&child, &a, &opts, &budget, &warm);
+            assert!(matches!(outcome, DualOutcome::Infeasible));
+            let (reused, basis) = reuse(&child, &opts, &budget, Some(&warm)).unwrap();
+            assert_eq!(reused.status, SolveStatus::Infeasible);
+            assert!(basis.is_none());
+            let Some(LpProof::Farkas { ray }) = &reused.proof else {
+                panic!("no Farkas ray: {:?}", reused.proof);
+            };
+            assert_eq!(ray.len(), 1);
+            assert!(ray[0] != 0.0, "the ray must weigh the row");
+        }
     }
 
     /// Installs `basis` on the tableau, with every other variable nonbasic.
